@@ -314,11 +314,16 @@ def estimate_flops(model: ModelConfig, peft: PeftConfig, batch_size: int,
                    avg_edges: float = 13.0) -> FlopsEstimate:
     """Analytic FLOPs for one batch under the documented cost constants.
 
-    Backward costs follow gradient reachability: a weight gradient is
-    charged only for trainable weights, and an input gradient only where
-    some trainable parameter sits upstream of that input — exactly the
-    work the tape performs. For the dual-adapter mode the estimate also
-    reports both backbone-bias treatments (tuned vs. frozen).
+    Backward costs follow gradient reachability, as the tape does: a
+    weight gradient is charged only for trainable weights, and an input
+    gradient only where some trainable parameter sits upstream of that
+    input. The per-op costs are conventions, not a count of the tape's
+    arithmetic: message passing and embedding lookups are charged per
+    gathered edge or node element (``mp_*``, ``emb_*``), while the tape
+    computes them with a padded block-diagonal matmul and count-times-table
+    matmuls, and the batch's shape is taken from ``avg_nodes`` and
+    ``avg_edges``. For the dual-adapter mode the estimate also reports
+    both backbone-bias treatments (tuned vs. frozen).
     """
     if phase not in ("train", "infer"):
         raise ValueError(f"phase must be train|infer, got {phase!r}")

@@ -31,8 +31,8 @@ from .peft import apply_peft, ModeError
 from .registry import (CheckpointFormatError, file_hash, load_checkpoint,
                        save_checkpoint)
 from .training import (MetricUndefinedError, TrainingDivergedError,
-                       encoder_param_names, evaluate_auc, pretrain_edgepred,
-                       train_supervised)
+                       UnlabelledEpochError, encoder_param_names, evaluate_auc,
+                       pretrain_edgepred, train_supervised)
 
 CONFIRM_LIMIT = 50  # sweeps above this many runs need --yes
 
@@ -676,7 +676,7 @@ def build_parser() -> _Parser:
 
 RUNTIME_ERRORS = (DatasetFormatError, CheckpointFormatError,
                   TrainingDivergedError, MetricUndefinedError, ModeError,
-                  OSError)
+                  UnlabelledEpochError, OSError)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,16 +97,26 @@ class GraphBatch:
     Undirected pairs are expanded to both directions and one self-loop per
     node is appended with the reserved edge code (= vocab size) in both
     edge-attribute slots. Edges are sorted by (dst, src). ``graph_ids``
-    are contiguous and sorted because nodes are concatenated in order.
+    are contiguous and sorted because nodes are concatenated in order, and
+    ``node_pos`` is each node's index inside its own graph.
+
+    ``node_codes[k]`` is the (n, V_k) one-hot of node attribute k, and
+    ``edge_codes[k]`` the (n, V_k+1) count of incoming edges per code of
+    edge attribute k, self-loop code included, so an embedding lookup or
+    an edge-embedding sum is one matmul with the table.
     """
     node_attrs: np.ndarray   # (n, 2)
     edge_src: np.ndarray     # (m,)
     edge_dst: np.ndarray     # (m,)
     edge_attrs: np.ndarray   # (m, 2)
     graph_ids: np.ndarray    # (n,)
+    node_pos: np.ndarray     # (n,)
+    node_codes: tuple[np.ndarray, np.ndarray]
+    edge_codes: tuple[np.ndarray, np.ndarray]
     labels: np.ndarray       # (G, T) float64, 0 where missing
     label_mask: np.ndarray   # (G, T) bool, False where missing
     num_graphs: int
+    max_nodes: int
 
     @property
     def num_nodes(self) -> int:
@@ -114,6 +125,18 @@ class GraphBatch:
     @property
     def num_edges(self) -> int:
         return self.edge_src.shape[0]
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """(G, N, N) stack of per-graph adjacency matrices with self-loops,
+        zero-padded to N = ``max_nodes``; entry [g, i, j] counts the edges
+        j -> i. Built on first use and kept, so a batch that never asks for
+        it never allocates its G·N² floats."""
+        n_max = self.max_nodes
+        flat = ((self.graph_ids[self.edge_dst] * n_max + self.node_pos[self.edge_dst])
+                * n_max + self.node_pos[self.edge_src])
+        counts = np.bincount(flat, minlength=self.num_graphs * n_max * n_max)
+        return counts.astype(np.float64).reshape(self.num_graphs, n_max, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +198,11 @@ def _graph_from_obj(obj: dict, where: str) -> Graph:
             edges = np.zeros((0, 2), dtype=np.int64)
             edge_attrs = np.zeros((0, 2), dtype=np.int64)
         labels = np.asarray(obj["labels"], dtype=np.int8)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"{where}: bad graph object ({exc})") from exc
+    if labels.ndim != 1:
+        raise DatasetFormatError(
+            f"{where}: labels must be a flat list, got shape {labels.shape}")
     return Graph(nodes, edges, edge_attrs, labels)
 
 
@@ -193,15 +219,21 @@ def load_jsonl(path, vocab: Vocab = Vocab()) -> Dataset:
     """
     graphs: list[Graph] = []
     num_tasks: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"{where}: not UTF-8 ({exc.reason})") from exc
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"{where}: malformed JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise DatasetFormatError(f"{where}: JSON nested too deeply") from exc
             g = _graph_from_obj(obj, where)
             _validate_graph(g, vocab, where)
             if num_tasks is None:
@@ -368,7 +400,7 @@ def batch(graphs: Sequence[Graph], vocab: Vocab,
     if len(graphs) == 0:
         raise ValueError("cannot batch zero graphs")
     loop_code = np.asarray(vocab.edge, dtype=np.int64)  # reserved per-slot code
-    node_blocks, id_blocks = [], []
+    node_blocks, id_blocks, pos_blocks = [], [], []
     src_parts, dst_parts, attr_parts = [], [], []
     labels = np.zeros((len(graphs), graphs[0].labels.shape[0]))
     mask = np.zeros(labels.shape, dtype=bool)
@@ -377,6 +409,7 @@ def batch(graphs: Sequence[Graph], vocab: Vocab,
         n = g.num_nodes
         node_blocks.append(g.node_attrs)
         id_blocks.append(np.full(n, gi, dtype=np.int64))
+        pos_blocks.append(np.arange(n, dtype=np.int64))
         edges, attrs = g.edges, g.edge_attrs
         if drop_edges is not None and gi in drop_edges:
             keep = np.asarray(drop_edges[gi], dtype=bool)
@@ -386,7 +419,7 @@ def batch(graphs: Sequence[Graph], vocab: Vocab,
             edges, attrs = edges[keep], attrs[keep]
         u = edges[:, 0] + offset
         v = edges[:, 1] + offset
-        loops = np.arange(n, dtype=np.int64) + offset
+        loops = pos_blocks[-1] + offset
         src_parts.append(np.concatenate([u, v, loops]))
         dst_parts.append(np.concatenate([v, u, loops]))
         attr_parts.append(np.concatenate(
@@ -399,8 +432,25 @@ def batch(graphs: Sequence[Graph], vocab: Vocab,
     dst = np.concatenate(dst_parts)
     attrs = np.concatenate(attr_parts, axis=0)
     order = np.lexsort((src, dst))  # sort by (dst, src) for determinism
+    src, dst, attrs = src[order], dst[order], attrs[order]
+    node_attrs = np.concatenate(node_blocks, axis=0)
+    n = node_attrs.shape[0]
     return GraphBatch(
-        node_attrs=np.concatenate(node_blocks, axis=0),
-        edge_src=src[order], edge_dst=dst[order], edge_attrs=attrs[order],
+        node_attrs=node_attrs, edge_src=src, edge_dst=dst, edge_attrs=attrs,
         graph_ids=np.concatenate(id_blocks),
-        labels=labels, label_mask=mask, num_graphs=len(graphs))
+        node_pos=np.concatenate(pos_blocks),
+        node_codes=tuple(_code_counts(np.arange(n), node_attrs[:, k], n, size)
+                         for k, size in enumerate(vocab.node)),
+        edge_codes=tuple(_code_counts(dst, attrs[:, k], n, size + 1)
+                         for k, size in enumerate(vocab.edge)),
+        labels=labels, label_mask=mask, num_graphs=len(graphs),
+        max_nodes=max(g.num_nodes for g in graphs))
+
+
+def _code_counts(rows: np.ndarray, codes: np.ndarray, n: int, size: int) -> np.ndarray:
+    """(n, size) float matrix counting, per row id, the codes listed for it."""
+    if codes.size and (codes.min() < 0 or codes.max() >= size):
+        raise IndexError(f"attribute code outside [0, {size}): "
+                         f"min={codes.min()}, max={codes.max()}")
+    return np.bincount(rows * size + codes, minlength=n * size).reshape(
+        n, size).astype(np.float64)

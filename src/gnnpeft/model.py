@@ -7,6 +7,17 @@ sums x_j + e_{ji} over incoming directed edges, including a self-loop
 carrying the reserved edge code. Node and edge embedding tables live in
 the encoder and are shared by all layers.
 
+In matrix form MP(x) = A·x + Σ_k C_k·E_k, with A the adjacency including
+self-loops and C_k the per-node counts of incoming codes of edge
+attribute k. A·x is one batched matmul over the batch's zero-padded
+(G, N, N) stack of per-graph adjacency blocks. When that stack would hold
+more floats than the m×d edge messages of a gather + scatter-sum, as for
+one large graph, A·x takes the gather + scatter-sum path instead. The
+edge term Σ_k C_k·E_k depends only on the batch and the tables, so it is
+computed once per forward pass as n×d and no per-edge tensor is built.
+Node embeddings are the same counts-times-table product with one-hot
+counts.
+
 Tuning-mode insertions (adapters, low-rank factors, rescaling vectors,
 prompts) are looked up by registry name, so a registry without them runs
 the plain backbone.
@@ -23,9 +34,9 @@ from .graphs import GraphBatch
 from .peft import AdapterModule, adapter_forward
 from .registry import ParamRegistry
 from .rng import RngStream
-from .tensor import (BatchNormState, Tensor, add, batchnorm1d, dropout,
-                     gather_rows, matmul, mul_elementwise, relu,
-                     scatter_sum, segment_mean_pool)
+from .tensor import (BatchNormState, Tensor, add, batchnorm1d,
+                     block_diag_matmul, dropout, gather_rows, matmul,
+                     mul_elementwise, relu, scatter_sum, segment_mean_pool)
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ParamRegistry:
@@ -71,26 +82,37 @@ def _bn_state(reg: ParamRegistry, prefix: str) -> BatchNormState:
                           reg.buffer(f"{prefix}.running_var"))
 
 
+def _counts_times_tables(counts, reg: ParamRegistry, table: str) -> Tensor:
+    """Σ_k counts[k] @ table k: an embedding lookup and sum as matmuls."""
+    out = [matmul(Tensor(c), reg.get(f"{table}.{k}.weight")) for k, c in enumerate(counts)]
+    return add(out[0], out[1])
+
+
 def encode_nodes(batch: GraphBatch, reg: ParamRegistry) -> Tensor:
     """Initial node states: sum of the two node-attribute embeddings,
     plus the feature prompt when one is installed."""
-    x = add(gather_rows(reg.get("encoder.node_emb.0.weight"), batch.node_attrs[:, 0]),
-            gather_rows(reg.get("encoder.node_emb.1.weight"), batch.node_attrs[:, 1]))
+    x = _counts_times_tables(batch.node_codes, reg, "encoder.node_emb")
     if "prompt.feature" in reg:
         x = add(x, reg.get("prompt.feature"))
     return x
 
 
 def edge_embeddings(batch: GraphBatch, reg: ParamRegistry) -> Tensor:
-    """Per directed edge: sum of the two edge-attribute embeddings."""
-    return add(gather_rows(reg.get("encoder.edge_emb.0.weight"), batch.edge_attrs[:, 0]),
-               gather_rows(reg.get("encoder.edge_emb.1.weight"), batch.edge_attrs[:, 1]))
+    """Edge term of message passing (n×d): for each node, the sum of the
+    two edge-attribute embeddings over its incoming edges and self-loop."""
+    return _counts_times_tables(batch.edge_codes, reg, "encoder.edge_emb")
 
 
-def message_pass(x: Tensor, batch: GraphBatch, edge_emb: Tensor) -> Tensor:
-    """MP(x)_i = Σ_{j→i, incl. self-loop} (x_j + e_{ji}); non-parametric."""
-    msgs = add(gather_rows(x, batch.edge_src), edge_emb)
-    return scatter_sum(msgs, batch.edge_dst, x.shape[0])
+def message_pass(x: Tensor, batch: GraphBatch, edge_term: Tensor) -> Tensor:
+    """MP(x)_i = Σ_{j→i, incl. self-loop} (x_j + e_{ji}) = (A·x)_i + edge_term_i;
+    non-parametric."""
+    n, d = x.shape
+    if batch.num_graphs * batch.max_nodes ** 2 <= batch.num_edges * d:
+        neighbours = block_diag_matmul(batch.adjacency, x, batch.graph_ids,
+                                       batch.node_pos)
+    else:  # the padded stack would outgrow the per-edge messages
+        neighbours = scatter_sum(gather_rows(x, batch.edge_src), batch.edge_dst, n)
+    return add(neighbours, edge_term)
 
 
 def _mlp_linear(x: Tensor, reg: ParamRegistry, name: str) -> Tensor:

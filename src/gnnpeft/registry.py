@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -195,34 +196,65 @@ def save_checkpoint(path, registry: ParamRegistry, meta: dict,
             fh.write(blob)
 
 
+_ENTRY_KEYS = ("name", "kind", "shape", "dtype", "offset")
+
+
+def _entry_fields(e, path, i: int) -> tuple[str, str, tuple[int, ...], int]:
+    """(name, kind, shape, offset) of manifest entry i, or a typed error."""
+    if not isinstance(e, dict):
+        raise CheckpointFormatError(f"{path}: manifest entry {i} is not an object")
+    missing = [k for k in _ENTRY_KEYS if k not in e]
+    if missing:
+        raise CheckpointFormatError(f"{path}: manifest entry {i} lacks {missing}")
+    if e["dtype"] != "<f4":
+        raise CheckpointFormatError(f"{path}: unsupported dtype {e['dtype']!r}")
+    name, kind, shape, offset = e["name"], e["kind"], e["shape"], e["offset"]
+    if not (isinstance(name, str) and kind in ("param", "buffer")
+            and isinstance(shape, list)
+            and all(type(s) is int and s >= 0 for s in shape)
+            and type(offset) is int and offset >= 0):
+        raise CheckpointFormatError(
+            f"{path}: manifest entry {i} has a malformed name, kind, shape or offset")
+    return name, kind, tuple(shape), offset
+
+
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Read a checkpoint archive -> (meta, params, buffers), upcast to float64."""
+    """Read a checkpoint archive -> (meta, params, buffers), upcast to float64.
+
+    A malformed manifest or payload raises :class:`CheckpointFormatError`
+    naming the file."""
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
     try:
         manifest = json.loads(header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointFormatError(f"{path}: bad manifest line ({exc})") from exc
-    if manifest.get("format") != "gnnpeft-ckpt-v1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "gnnpeft-ckpt-v1":
         raise CheckpointFormatError(f"{path}: not a checkpoint archive")
+    missing = [k for k in ("entries", "meta") if k not in manifest]
+    if missing:
+        raise CheckpointFormatError(f"{path}: manifest lacks {missing}")
+    if not (isinstance(manifest["entries"], list) and isinstance(manifest["meta"], dict)):
+        raise CheckpointFormatError(f"{path}: manifest entries or meta malformed")
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
-    for e in manifest["entries"]:
-        if e["dtype"] != "<f4":
-            raise CheckpointFormatError(f"{path}: unsupported dtype {e['dtype']!r}")
-        shape = tuple(e["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
-        start = e["offset"]
+    for i, e in enumerate(manifest["entries"]):
+        name, kind, shape, start = _entry_fields(e, path, i)
+        nbytes = math.prod(shape) * 4
         raw = payload[start:start + nbytes]
         if len(raw) != nbytes:
             raise CheckpointFormatError(
-                f"{path}: truncated payload for entry {e['name']!r}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-        target = params if e["kind"] == "param" else buffers
-        if e["name"] in target:
-            raise CheckpointFormatError(f"{path}: duplicate entry {e['name']!r}")
-        target[e["name"]] = arr
+                f"{path}: truncated payload for entry {name!r}")
+        try:
+            arr = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+        except (ValueError, OverflowError) as exc:  # e.g. an empty array with a huge extent
+            raise CheckpointFormatError(
+                f"{path}: entry {name!r} has unusable shape {list(shape)}") from exc
+        target = params if kind == "param" else buffers
+        if name in target:
+            raise CheckpointFormatError(f"{path}: duplicate entry {name!r}")
+        target[name] = arr
     return manifest["meta"], params, buffers
 
 

@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what a small message-passing network needs: matmul,
-segment scatter/gather, batch normalization, and an elementwise suite
-including a masked binary-cross-entropy loss. Forward values are numpy
-arrays; gradients are computed by walking a :class:`Tape` of recorded
-operations in reverse.
+a block-diagonal matmul over a padded stack of per-graph matrices, segment
+scatter/gather, batch normalization, and an elementwise suite including a
+masked binary-cross-entropy loss. Segment sums sort rows by segment id
+(sorted ids skip the sort) and sum each contiguous run. Forward values
+are numpy arrays; gradients are computed by walking a :class:`Tape` of
+recorded operations in reverse.
 
 Conventions:
   * everything is float64 (checkpoints downcast to float32 on disk);
@@ -172,6 +174,66 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out_data, make_backward)
 
 
+def block_diag_matmul(blocks: np.ndarray, x: Tensor, block_ids: np.ndarray,
+                      block_rows: np.ndarray) -> Tensor:
+    """Product of a block-diagonal matrix with x (n×d), the blocks stored
+    as a zero-padded (G, N, N) stack of constants.
+
+    Row i of x is row ``block_rows[i]`` of block ``block_ids[i]``; padding
+    rows enter as zeros and their outputs are dropped. The whole product is
+    one batched matmul; backward multiplies by the transposed blocks.
+    """
+    _check_2d(x, "block_diag_matmul input")
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+        raise ShapeMismatchError(
+            f"blocks must be a (G, N, N) stack, got shape {blocks.shape}")
+    g_count, n_max, _ = blocks.shape
+    ids = np.asarray(block_ids, dtype=np.int64)
+    pos = np.asarray(block_rows, dtype=np.int64)
+    if ids.shape != (x.data.shape[0],) or pos.shape != ids.shape:
+        raise ShapeMismatchError(
+            f"block ids {ids.shape} and rows {pos.shape} do not match "
+            f"{x.data.shape[0]} rows")
+    if ids.size and (min(ids.min(), pos.min()) < 0 or ids.max() >= g_count
+                     or pos.max() >= n_max):
+        raise IndexError(f"block position outside the ({g_count}, {n_max}) stack")
+    slot = ids * n_max + pos
+
+    def apply(mats, rows):
+        padded = np.zeros((g_count * n_max, rows.shape[1]))
+        padded[slot] = rows
+        out = np.matmul(mats, padded.reshape(g_count, n_max, rows.shape[1]))
+        return out.reshape(g_count * n_max, rows.shape[1])[slot]
+
+    out_data = apply(blocks, x.data)
+
+    def make_backward(out):
+        def backward(g):
+            if x.requires_grad:
+                x.grad += apply(blocks.transpose(0, 2, 1), g)
+        return backward
+
+    return _record((x,), out_data, make_backward)
+
+
+def _sum_rows_by_id(values: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct ids ascending, per-id row sums) for a non-empty ``ids``.
+
+    Rows are stably sorted by id unless they already are; each contiguous
+    run is then one slice sum, in the original row order. (A slice sum
+    streams whole rows; ``np.add.reduceat`` along axis 0 walks each
+    column separately and is several times slower on short runs of wide
+    rows.)
+    """
+    if np.any(ids[1:] < ids[:-1]):
+        order = np.argsort(ids, kind="stable")
+        values, ids = values[order], ids[order]
+    bounds = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1], True]).tolist()
+    sums = np.stack([values[s:e].sum(axis=0) for s, e in zip(bounds[:-1], bounds[1:])])
+    return ids[bounds[:-1]], sums
+
+
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows of x (table lookup); backward scatter-adds into x."""
     _check_2d(x, "gather_rows input")
@@ -184,8 +246,9 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
 
     def make_backward(out):
         def backward(g):
-            if x.requires_grad:
-                np.add.at(x.grad, idx, g)
+            if x.requires_grad and idx.size:
+                rows, sums = _sum_rows_by_id(g, idx)
+                x.grad[rows] += sums
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -208,7 +271,8 @@ def scatter_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
             f"min={ids.min()}, max={ids.max()}")
     out_data = np.zeros((num_segments, values.data.shape[1]))
     if ids.size:
-        np.add.at(out_data, ids, values.data)
+        rows, sums = _sum_rows_by_id(values.data, ids)
+        out_data[rows] = sums
 
     def make_backward(out):
         def backward(g):
@@ -220,7 +284,8 @@ def scatter_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
 
 
 def segment_mean_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Per-segment mean of rows; empty segments pool to zero rows."""
+    """Per-segment mean of rows; empty segments pool to zero rows. Sorted
+    ids (a batch's ``graph_ids``) make every segment one contiguous sum."""
     _check_2d(x, "segment_mean_pool input")
     ids = np.asarray(segment_ids, dtype=np.int64)
     if ids.shape != (x.data.shape[0],):
@@ -232,10 +297,10 @@ def segment_mean_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
             f"min={ids.min()}, max={ids.max()}")
     counts = np.bincount(ids, minlength=num_segments).astype(np.float64)
     denom = np.maximum(counts, 1.0)[:, None]
-    sums = np.zeros((num_segments, x.data.shape[1]))
+    out_data = np.zeros((num_segments, x.data.shape[1]))
     if ids.size:
-        np.add.at(sums, ids, x.data)
-    out_data = sums / denom
+        rows, sums = _sum_rows_by_id(x.data, ids)
+        out_data[rows] = sums / denom[rows]
 
     def make_backward(out):
         def backward(g):

@@ -34,6 +34,16 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
 
 
+class UnlabelledEpochError(ValueError):
+    """Every training label of an epoch is missing, so there is no loss to
+    fit; carries the epoch."""
+
+    def __init__(self, epoch: int):
+        super().__init__(f"epoch {epoch}: every training label is missing; "
+                         "nothing to fit")
+        self.epoch = epoch
+
+
 class MetricUndefinedError(ValueError):
     """No task had both positive and negative labels; AUC is undefined."""
 
@@ -187,11 +197,6 @@ class RunRecord:
             json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
 
 
-def generalization_gap(record: RunRecord) -> float:
-    """Final-epoch train AUC minus test AUC."""
-    return record.gap
-
-
 # ---------------------------------------------------------------------------
 # supervised fine-tuning / from-scratch training
 # ---------------------------------------------------------------------------
@@ -250,6 +255,8 @@ def train_supervised(train_ds: Dataset, test_ds: Dataset, reg: ParamRegistry,
             opt.zero_grad()
             losses.append(val)
             weights.append(int(b.label_mask.sum()))
+        if not weights:
+            raise UnlabelledEpochError(epoch)
         record.train_loss.append(float(np.average(losses, weights=weights)))
         record.train_auc.append(evaluate_auc(train_ds, reg, model, peft))
         record.test_auc.append(evaluate_auc(test_ds, reg, model, peft))

@@ -9,6 +9,7 @@ and take a few minutes each; everything else is near-instant.
 """
 
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import time
 import mpmath
 import numpy as np
 
+import gnnpeft
 from gnnpeft import tensor as T
 from gnnpeft.analysis import (compute_gaps, count_params, estimate_flops,
                               hoeffding_gap, sweep)
@@ -630,8 +632,13 @@ def test_c11_flops_estimator(capsys):
 # ---------------------------------------------------------------------------
 
 def _cli(args, cwd):
+    # the child runs in ``cwd``, so a relative PYTHONPATH would not find
+    # the package: put the absolute source directory first
+    src = str(pathlib.Path(gnnpeft.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "gnnpeft", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, f"{args}: {proc.stderr}"
     return proc
 

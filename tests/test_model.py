@@ -86,7 +86,7 @@ class TestMessagePass:
                     np.zeros(1, dtype=np.int8))
         b = G.batch([g], G.Vocab((3, 2), (2, 2)))
         x = T.Tensor(np.array([[1.0, 2.0, 3.0]]))
-        zero_e = T.Tensor(np.zeros((b.num_edges, 3)))
+        zero_e = T.Tensor(np.zeros((b.num_nodes, 3)))
         out = M.message_pass(x, b, zero_e)
         np.testing.assert_array_equal(out.data, x.data)
 
@@ -97,7 +97,7 @@ class TestMessagePass:
                     np.zeros(1, dtype=np.int8))
         b = G.batch([g], G.Vocab((3, 2), (2, 2)))
         x = T.Tensor(np.array([[1.0, 10.0], [2.0, 20.0]]))
-        out = M.message_pass(x, b, T.Tensor(np.zeros((b.num_edges, 2))))
+        out = M.message_pass(x, b, T.Tensor(np.zeros((b.num_nodes, 2))))
         np.testing.assert_array_equal(out.data, [[3.0, 30.0], [3.0, 30.0]])
 
     def test_permutation_equivariance(self):
