@@ -11,6 +11,7 @@ fingerprint so identical requests collide instead of duplicating.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import shutil
@@ -24,7 +25,7 @@ from .analysis import (bound, BoundInput, compute_gaps, count_params,
                        sweep, sweep_csv, sweep_plan, SWEEP_COLUMNS)
 from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                      config_fingerprint)
-from .graphs import (DatasetFormatError, Dataset, SplitSpec, Vocab,
+from .graphs import (DatasetFormatError, SplitSpec, Vocab,
                      generate_synthetic, load_jsonl, save_jsonl, split)
 from .model import init_params
 from .peft import apply_peft, ModeError
@@ -248,10 +249,6 @@ def prepare_run_dir(out_root, fingerprint: str, force: bool) -> pathlib.Path:
     return d
 
 
-def _load_dataset(path, vocab: Vocab) -> Dataset:
-    return load_jsonl(path, vocab=vocab)
-
-
 def _split_spec(args) -> SplitSpec:
     fractions = tuple(float(x) for x in args.fractions.split(","))
     return SplitSpec(fractions=fractions, mode=args.split)
@@ -286,10 +283,8 @@ def cmd_pretrain(args) -> int:
     fp = config_fingerprint(echo)
     run_dir = prepare_run_dir(args.out, fp, args.force)
     write_echo(run_dir, echo)
-    ds = _load_dataset(args.data, model.vocab)
-    model = ModelConfig(emb_dim=model.emb_dim, mlp_hidden=model.mlp_hidden,
-                        num_layers=model.num_layers, num_tasks=ds.num_tasks,
-                        dropout=model.dropout, vocab=model.vocab)
+    ds = load_jsonl(args.data, vocab=model.vocab)
+    model = dataclasses.replace(model, num_tasks=ds.num_tasks)
     reg, losses = pretrain_edgepred(ds, model, train)
     meta = {"kind": "encoder", "fingerprint": fp, "seed": train.seed,
             "config": echo}
@@ -334,10 +329,8 @@ def cmd_train(args) -> int:
     fp = config_fingerprint(echo)
     run_dir = prepare_run_dir(args.out, fp, args.force)
     write_echo(run_dir, echo)
-    ds = _load_dataset(args.data, model.vocab)
-    model = ModelConfig(emb_dim=model.emb_dim, mlp_hidden=model.mlp_hidden,
-                        num_layers=model.num_layers, num_tasks=ds.num_tasks,
-                        dropout=model.dropout, vocab=model.vocab)
+    ds = load_jsonl(args.data, vocab=model.vocab)
+    model = dataclasses.replace(model, num_tasks=ds.num_tasks)
     train_ds, _, test_ds = split(ds, _split_spec(args), seed=train.seed)
 
     reg = init_params(model, seed=train.seed)
@@ -367,19 +360,31 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _task_meta(path, meta: dict) -> tuple[dict, int, str]:
+    """(config echo, seed, backbone ref) from a task checkpoint's meta."""
+    cfg, seed = meta.get("config"), meta.get("seed")
+    ref = meta.get("backbone_ref", "")
+    for key, value, ok, want in (
+            ("config", cfg, isinstance(cfg, dict), "an object"),
+            ("seed", seed, isinstance(seed, int) and not isinstance(seed, bool),
+             "an integer"),
+            ("backbone_ref", ref, isinstance(ref, str), "a string")):
+        if not ok:
+            raise CheckpointFormatError(
+                f"{path}: task checkpoint meta {key!r} must be {want}, got {value!r}")
+    return cfg, seed, ref
+
+
 def cmd_eval(args) -> int:
     meta, params, buffers = load_checkpoint(args.ckpt)
     if meta.get("kind") != "task":
         raise CheckpointFormatError(f"{args.ckpt} is not a task checkpoint")
-    cfg = dict(meta["config"])
+    cfg, seed, ref = _task_meta(args.ckpt, meta)
     model, peft, train = build_run_configs(
         {k: v for k, v in cfg.items() if k in RUN_KEYS})
-    ds = _load_dataset(args.data, model.vocab)
-    model = ModelConfig(emb_dim=model.emb_dim, mlp_hidden=model.mlp_hidden,
-                        num_layers=model.num_layers, num_tasks=ds.num_tasks,
-                        dropout=model.dropout, vocab=model.vocab)
-    reg = init_params(model, seed=meta["seed"])
-    ref = meta.get("backbone_ref", "")
+    ds = load_jsonl(args.data, vocab=model.vocab)
+    model = dataclasses.replace(model, num_tasks=ds.num_tasks)
+    reg = init_params(model, seed=seed)
     if peft.mode != "full" and not ref.startswith("random:"):
         if not args.backbone_ckpt:
             raise UsageError("this checkpoint fine-tuned a pre-trained "
@@ -391,7 +396,7 @@ def cmd_eval(args) -> int:
         bmeta, bparams, bbuffers = load_checkpoint(args.backbone_ckpt)
         _check_backbone_meta(bmeta, model)
         reg.load_state(bparams, bbuffers)
-    apply_peft(reg, model, peft, seed=meta["seed"])
+    apply_peft(reg, model, peft, seed=seed)
     reg.load_state(params, buffers)
 
     spec = _split_spec(args)
@@ -399,7 +404,7 @@ def cmd_eval(args) -> int:
         part = ds
     else:
         idx = {"train": 0, "valid": 1, "test": 2}[args.part]
-        part = split(ds, spec, seed=meta["seed"])[idx]
+        part = split(ds, spec, seed=seed)[idx]
     auc = evaluate_auc(part, reg, model, peft)
     print(f"auc {auc:.10g}")
     if args.out:
@@ -473,7 +478,7 @@ def cmd_sweep(args) -> int:
             **{k: _fmt(v) for k, v in sorted(scalars.items())},
             **{k: _fmt(v) for k, v in sorted(grids.items())}}
     fp = config_fingerprint(echo)
-    ds = _load_dataset(args.data, vocab)
+    ds = load_jsonl(args.data, vocab=vocab)
     rows = sweep(args.kind, ds, jobs=args.jobs,
                  pretrain_epochs=scalars.get("pretrain_epochs"), **kw)
     text = sweep_csv(rows)

@@ -119,7 +119,7 @@ def _mlp_linear(x: Tensor, reg: ParamRegistry, name: str) -> Tensor:
     """One MLP linear, honoring installed input-rescaling or low-rank factors."""
     if f"{name}.ia3" in reg:
         x = mul_elementwise(x, reg.get(f"{name}.ia3"))
-    out = add(matmul(x, reg.get(f"{name}.weight")), reg.get(f"{name}.bias"))
+    out = matmul(x, reg.get(f"{name}.weight"), reg.get(f"{name}.bias"))
     if f"{name}.lora_a" in reg:
         out = add(out, matmul(matmul(x, reg.get(f"{name}.lora_a")),
                               reg.get(f"{name}.lora_b")))
@@ -178,8 +178,10 @@ def gin_node_states(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,
             elif peft.mode == "adapter_seq":
                 h = add(h, _adapter_out(h, reg, f"layer.{l}.adapter",
                                         peft.bottleneck, mode))
+        del m  # an eval forward frees each layer's activations as it goes
         if l < config.num_layers - 1:
             x = relu(h)
+            del h
             stream = rng.child(f"layer{l}.dropout") if rng is not None else None
             x = dropout(x, config.dropout, stream, mode)
         else:
@@ -197,8 +199,7 @@ def gin_forward(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,
 
 def classify(embeddings: Tensor, reg: ParamRegistry) -> Tensor:
     """Affine map from graph embeddings to per-task logits."""
-    return add(matmul(embeddings, reg.get("classifier.weight")),
-               reg.get("classifier.bias"))
+    return matmul(embeddings, reg.get("classifier.weight"), reg.get("classifier.bias"))
 
 
 def forward_logits(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,

@@ -39,7 +39,7 @@ import numpy as np
 from .config import ConfigError, ModelConfig, PeftConfig
 from .registry import ParamRegistry
 from .rng import RngStream
-from .tensor import (BatchNormState, Tensor, add, batchnorm1d, matmul, relu)
+from .tensor import BatchNormState, Tensor, batchnorm1d, matmul, relu
 
 
 class ModeError(ValueError):
@@ -70,8 +70,8 @@ class AdapterModule:
 
 def adapter_forward(x: Tensor, module: AdapterModule, mode: str) -> Tensor:
     """A(x) = BN(W_up(ReLU(W_down(x)))), the bottleneck transform."""
-    h = relu(add(matmul(x, module.down_w), module.down_b))
-    h = add(matmul(h, module.up_w), module.up_b)
+    h = relu(matmul(x, module.down_w, module.down_b))
+    h = matmul(h, module.up_w, module.up_b)
     return batchnorm1d(h, module.bn, mode)
 
 

@@ -6,12 +6,18 @@ scatter/gather, batch normalization, and an elementwise suite including a
 masked binary-cross-entropy loss. Segment sums sort rows by segment id
 (sorted ids skip the sort) and sum each contiguous run. Forward values
 are numpy arrays; gradients are computed by walking a :class:`Tape` of
-recorded operations in reverse.
+recorded operations in reverse. ``matmul`` takes an optional bias row,
+added into the product's buffer, so an affine layer is one recorded op.
 
 Conventions:
   * everything is float64 (checkpoints downcast to float32 on disk);
   * an op is recorded only while a tape is active and at least one input
     has ``requires_grad``, so frozen subgraphs cost no backward work;
+  * a leaf tensor that requires grad owns a preallocated ``grad`` buffer
+    that gradients are added into in place; an op output has a gradient
+    only during the reverse sweep, from its first incoming gradient until
+    its own backward rule has run;
+  * one sweep consumes a tape;
   * stochastic ops take an explicit :class:`~gnnpeft.rng.RngStream`.
 """
 
@@ -79,22 +85,31 @@ class TapeNode:
         self.backward_fn = backward_fn
 
 
+class TapeConsumedError(RuntimeError):
+    """``backward`` was called on a tape that was already swept or released."""
+
+
 class Tape:
     """Ordered record of operations; supports a single reverse sweep.
 
     Operations are appended in execution order, which is a topological
     order by construction. ``backward`` visits each node exactly once in
-    reverse, accumulating into the ``grad`` buffers of tensors that
-    require gradients.
+    reverse and drops it, with its output's gradient, as soon as its rule
+    has run: by then every consumer of that output has been visited, so
+    activations and gradients are freed during the sweep. Leaf gradients
+    accumulate in place into the leaves' own ``grad`` buffers. The sweep
+    consumes the tape; a second ``backward`` raises
+    :class:`TapeConsumedError`.
 
-    Leaving the ``with`` block releases the recorded graph: tensors and
-    their tape nodes reference each other, and dropping those links lets
-    plain refcounting reclaim each step's intermediates instead of
-    leaving megabytes of cyclic garbage for the generational collector.
+    Leaving the ``with`` block releases whatever is still recorded:
+    tensors and their tape nodes reference each other, and dropping those
+    links lets plain refcounting reclaim each step's intermediates instead
+    of leaving megabytes of cyclic garbage for the generational collector.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.consumed = False
 
     def record(self, node: TapeNode) -> None:
         self.nodes.append(node)
@@ -103,20 +118,28 @@ class Tape:
     def release(self) -> None:
         for node in self.nodes:
             node.output.tape_node = None
+            node.output.grad = None
         self.nodes.clear()
+        self.consumed = True
 
     def backward(self, loss: Tensor) -> None:
+        if self.consumed:
+            raise TapeConsumedError(
+                "this tape was already swept or released; record a new one")
         if loss.data.size != 1:
             raise ShapeMismatchError(
                 f"backward needs a scalar loss, got shape {loss.data.shape}")
         if not loss.requires_grad:
             raise ValueError("loss does not require grad; nothing to backpropagate")
-        loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            g = node.output.grad
-            if g is None:
-                continue
-            node.backward_fn(g)
+        self.consumed = True
+        _accumulate(loss, np.ones_like(loss.data))
+        nodes = self.nodes
+        while nodes:
+            node = nodes.pop()
+            out = node.output
+            g, out.grad, out.tape_node = out.grad, None, None
+            if g is not None:
+                node.backward_fn(g)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -136,13 +159,40 @@ def active_tape() -> Optional[Tape]:
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray,
             backward_fn_factory) -> Tensor:
-    """Create the output tensor and record it if a tape is listening."""
+    """Create the output tensor and record it if a tape is listening. The
+    output gets no gradient buffer: it receives its gradient in the sweep."""
     tape = active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
+    out = Tensor(out_data)
     if needs:
+        out.requires_grad = True
         tape.record(TapeNode(inputs, out, backward_fn_factory(out)))
     return out
+
+
+def _accumulate(t: Tensor, g: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
+    """Add gradient ``g`` into ``t.grad``, or into its ``rows`` when given.
+
+    A leaf adds in place into the buffer it owns. An op output takes its
+    first whole gradient as is; later ones, and row updates, are added out
+    of place, so an array that also reached another tensor (``add`` hands
+    the same ``g`` to both inputs) is never written.
+    """
+    if t.tape_node is None:
+        if t.grad is None:  # the output of a tape already swept or released
+            t.grad = np.zeros_like(t.data)
+        if rows is None:
+            t.grad += g
+        else:
+            t.grad[rows] += g
+    elif rows is not None:
+        full = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+        full[rows] += g
+        t.grad = full
+    elif t.grad is None:
+        t.grad = g
+    else:
+        t.grad = t.grad + g
 
 
 def _check_2d(t: Tensor, name: str) -> None:
@@ -154,24 +204,34 @@ def _check_2d(t: Tensor, name: str) -> None:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a (m×k) and b (k×n)."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product of a (m×k) and b (k×n), plus an optional (n,) bias
+    row added in place into the product's buffer."""
     _check_2d(a, "matmul lhs")
     _check_2d(b, "matmul rhs")
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(
             f"matmul inner extents differ: {a.data.shape} vs {b.data.shape}")
     out_data = a.data @ b.data
+    if bias is not None:
+        if bias.data.shape != (b.data.shape[1],):
+            raise ShapeMismatchError(
+                f"matmul bias shape {bias.data.shape} does not match "
+                f"{b.data.shape[1]} output columns")
+        out_data += bias.data
 
     def make_backward(out):
         def backward(g):
+            if bias is not None and bias.requires_grad:
+                _accumulate(bias, g.sum(axis=0))
             if a.requires_grad:
-                a.grad += g @ b.data.T
+                _accumulate(a, g @ b.data.T)
             if b.requires_grad:
-                b.grad += a.data.T @ g
+                _accumulate(b, a.data.T @ g)
         return backward
 
-    return _record((a, b), out_data, make_backward)
+    inputs = (a, b) if bias is None else (a, b, bias)
+    return _record(inputs, out_data, make_backward)
 
 
 def block_diag_matmul(blocks: np.ndarray, x: Tensor, block_ids: np.ndarray,
@@ -211,7 +271,7 @@ def block_diag_matmul(blocks: np.ndarray, x: Tensor, block_ids: np.ndarray,
     def make_backward(out):
         def backward(g):
             if x.requires_grad:
-                x.grad += apply(blocks.transpose(0, 2, 1), g)
+                _accumulate(x, apply(blocks.transpose(0, 2, 1), g))
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -248,7 +308,7 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
         def backward(g):
             if x.requires_grad and idx.size:
                 rows, sums = _sum_rows_by_id(g, idx)
-                x.grad[rows] += sums
+                _accumulate(x, sums, rows)
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -277,7 +337,7 @@ def scatter_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     def make_backward(out):
         def backward(g):
             if values.requires_grad:
-                values.grad += g[ids]
+                _accumulate(values, g[ids])
         return backward
 
     return _record((values,), out_data, make_backward)
@@ -305,7 +365,7 @@ def segment_mean_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
     def make_backward(out):
         def backward(g):
             if x.requires_grad:
-                x.grad += (g / denom)[ids]
+                _accumulate(x, (g / denom)[ids])
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -329,9 +389,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def make_backward(out):
         def backward(g):
             if a.requires_grad:
-                a.grad += g
+                _accumulate(a, g)
             if b.requires_grad:
-                b.grad += g.sum(axis=0) if bias_mode else g
+                _accumulate(b, g.sum(axis=0) if bias_mode else g)
         return backward
 
     return _record((a, b), out_data, make_backward)
@@ -345,7 +405,7 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
     def make_backward(out):
         def backward(g):
             if x.requires_grad:
-                x.grad += g * c
+                _accumulate(x, g * c)
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -369,14 +429,14 @@ def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
     def make_backward(out):
         def backward(g):
             if a.requires_grad:
-                a.grad += g * b.data
+                _accumulate(a, g * b.data)
             if b.requires_grad:
                 if mode == "same":
-                    b.grad += g * a.data
+                    _accumulate(b, g * a.data)
                 elif mode == "scalar":
-                    b.grad += np.sum(g * a.data).reshape(b.data.shape)
+                    _accumulate(b, np.sum(g * a.data).reshape(b.data.shape))
                 else:
-                    b.grad += (g * a.data).sum(axis=0)
+                    _accumulate(b, (g * a.data).sum(axis=0))
         return backward
 
     return _record((a, b), out_data, make_backward)
@@ -390,7 +450,7 @@ def relu(x: Tensor) -> Tensor:
 
         def backward(g):
             if x.requires_grad:
-                x.grad += g * mask
+                _accumulate(x, g * mask)
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -412,7 +472,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def make_backward(out):
         def backward(g):
             if x.requires_grad:
-                x.grad += g * out.data * (1.0 - out.data)
+                _accumulate(x, g * out.data * (1.0 - out.data))
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -438,7 +498,7 @@ def dropout(x: Tensor, p: float, rng: Optional[RngStream], mode: str) -> Tensor:
     def make_backward(out):
         def backward(g):
             if x.requires_grad:
-                x.grad += g * keep * scale
+                _accumulate(x, g * keep * scale)
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -455,9 +515,9 @@ def row_dot(a: Tensor, b: Tensor) -> Tensor:
     def make_backward(out):
         def backward(g):
             if a.requires_grad:
-                a.grad += g[:, None] * b.data
+                _accumulate(a, g[:, None] * b.data)
             if b.requires_grad:
-                b.grad += g[:, None] * a.data
+                _accumulate(b, g[:, None] * a.data)
         return backward
 
     return _record((a, b), out_data, make_backward)
@@ -470,7 +530,7 @@ def sum_all(x: Tensor) -> Tensor:
     def make_backward(out):
         def backward(g):
             if x.requires_grad:
-                x.grad += g
+                _accumulate(x, np.full_like(x.data, g))
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -504,7 +564,7 @@ def bce_with_logits(pred: Tensor, target: np.ndarray,
     def make_backward(out):
         def backward(g):
             if pred.requires_grad:
-                pred.grad += g * m * (_sigmoid(z) - y) / n
+                _accumulate(pred, g * m * (_sigmoid(z) - y) / n)
         return backward
 
     return _record((pred,), out_data, make_backward)
@@ -546,6 +606,12 @@ def batchnorm1d(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
     affine transform, and updates running statistics in place. Eval mode
     normalizes by the running statistics. The backward pass includes the
     mean and variance paths.
+
+    The input is centred once; the variance is taken from the centred
+    buffer (the same operations, in the same order, as ``np.var``), which
+    is then scaled in place into x̂. The affine is written in place into
+    one output buffer, and the backward pass works in two buffers of its
+    own, reusing x̂ once it is no longer read.
     """
     _check_2d(x, "batchnorm input")
     d = x.data.shape[1]
@@ -560,10 +626,14 @@ def batchnorm1d(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
             raise DegenerateBatchError(
                 f"train-mode batchnorm needs at least 2 rows, got {B}")
         mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)  # biased
+        xhat = x.data - mean
+        out_data = np.multiply(xhat, xhat)
+        var = out_data.sum(axis=0)
+        var /= B  # biased
         inv_std = 1.0 / np.sqrt(var + state.eps)
-        xhat = (x.data - mean) * inv_std
-        out_data = gamma.data * xhat + beta.data
+        xhat *= inv_std
+        np.multiply(xhat, gamma.data, out=out_data)
+        out_data += beta.data
         mom = state.momentum
         unbiased = var * B / (B - 1)
         state.running_mean *= 1.0 - mom
@@ -573,33 +643,45 @@ def batchnorm1d(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
 
         def make_backward(out):
             def backward(g):
+                scratch = None
                 if gamma.requires_grad:
-                    gamma.grad += (g * xhat).sum(axis=0)
+                    scratch = np.multiply(g, xhat)
+                    _accumulate(gamma, scratch.sum(axis=0))
                 if beta.requires_grad:
-                    beta.grad += g.sum(axis=0)
+                    _accumulate(beta, g.sum(axis=0))
                 if x.requires_grad:
+                    # (inv_std/B)·(B·dx̂ − Σdx̂ − x̂·Σ(dx̂·x̂)), in place
                     dxhat = g * gamma.data
-                    x.grad += (inv_std / B) * (
-                        B * dxhat
-                        - dxhat.sum(axis=0)
-                        - xhat * (dxhat * xhat).sum(axis=0))
+                    dot = np.multiply(dxhat, xhat, out=scratch).sum(axis=0)
+                    total = dxhat.sum(axis=0)
+                    dxhat *= B
+                    dxhat -= total
+                    dxhat -= np.multiply(xhat, dot, out=xhat)  # x̂'s last read
+                    dxhat *= inv_std / B
+                    _accumulate(x, dxhat)
             return backward
 
         return _record((x, gamma, beta), out_data, make_backward)
 
     if mode == "eval":
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x.data - state.running_mean) * inv_std
-        out_data = gamma.data * xhat + beta.data
+        xhat = x.data - state.running_mean
+        xhat *= inv_std
+        # x̂ is overwritten by the affine unless gamma's gradient needs it
+        keep = gamma.requires_grad and active_tape() is not None
+        out_data = np.multiply(xhat, gamma.data, out=None if keep else xhat)
+        out_data += beta.data
 
         def make_backward(out):
             def backward(g):
                 if gamma.requires_grad:
-                    gamma.grad += (g * xhat).sum(axis=0)
+                    _accumulate(gamma, (g * xhat).sum(axis=0))
                 if beta.requires_grad:
-                    beta.grad += g.sum(axis=0)
+                    _accumulate(beta, g.sum(axis=0))
                 if x.requires_grad:
-                    x.grad += g * gamma.data * inv_std
+                    dx = g * gamma.data
+                    dx *= inv_std
+                    _accumulate(x, dx)
             return backward
 
         return _record((x, gamma, beta), out_data, make_backward)

@@ -48,8 +48,27 @@ class MetricUndefinedError(ValueError):
     """No task had both positive and negative labels; AUC is undefined."""
 
 
+# Adam updates this many elements at a time, so a chunk of the parameter,
+# its gradient, both moments and two scratch rows stay in cache.
+ADAM_CHUNK = 1 << 14
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A 1-D view of ``a``; raises rather than hand back a copy that
+    in-place updates would never reach."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"array of shape {a.shape} has no flat view")
+    return a.reshape(-1)
+
+
 class Adam:
-    """Adam over the registry's trainable tensors (weight_decay as plain L2)."""
+    """Adam over the registry's trainable tensors (weight_decay as plain L2).
+
+    The update runs in place over flat views of each parameter, its
+    gradient and both moments, ``ADAM_CHUNK`` elements at a time, through
+    two preallocated scratch rows; it performs the same floating-point
+    operations in the same order as the textbook whole-array form.
+    """
 
     def __init__(self, registry: ParamRegistry, cfg: TrainConfig):
         self.registry = registry
@@ -58,25 +77,42 @@ class Adam:
         self.m = {name: np.zeros_like(t.data) for name, t in self.slots}
         self.v = {name: np.zeros_like(t.data) for name, t in self.slots}
         self.t = 0
+        width = min(ADAM_CHUNK, max((t.data.size for _, t in self.slots), default=0))
+        self._scratch = np.empty((2, width))
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.cfg.betas
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
+        lr, eps, wd = self.cfg.lr, self.cfg.eps, self.cfg.weight_decay
         for name, tensor in self.slots:
-            g = tensor.grad
-            if self.cfg.weight_decay:
-                g = g + self.cfg.weight_decay * tensor.data
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            tensor.data -= self.cfg.lr * mhat / (np.sqrt(vhat) + self.cfg.eps)
+            p, grad = _flat(tensor.data), _flat(tensor.grad)
+            m, v = _flat(self.m[name]), _flat(self.v[name])
+            for lo in range(0, p.size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, p.size)
+                pc, mc, vc = p[lo:hi], m[lo:hi], v[lo:hi]
+                s, u = self._scratch[0, :hi - lo], self._scratch[1, :hi - lo]
+                g = grad[lo:hi]
+                if wd:
+                    np.multiply(pc, wd, out=s)
+                    s += g  # g + wd·p
+                    g = s
+                mc *= b1
+                np.multiply(g, 1.0 - b1, out=u)
+                mc += u
+                vc *= b2
+                np.multiply(g, 1.0 - b2, out=u)
+                u *= g
+                vc += u
+                # p -= lr·(m/bc1) / (sqrt(v/bc2) + eps); g is no longer read
+                np.divide(mc, bc1, out=s)
+                s *= lr
+                np.divide(vc, bc2, out=u)
+                np.sqrt(u, out=u)
+                u += eps
+                s /= u
+                pc -= s
 
     def zero_grad(self) -> None:
         self.registry.zero_grads()

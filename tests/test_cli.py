@@ -11,6 +11,7 @@ import pytest
 from gnnpeft.cli import (build_run_configs, canonical_echo, main,
                          parse_config_file)
 from gnnpeft.config import ModelConfig, PeftConfig, TrainConfig
+from gnnpeft.registry import ParamRegistry, load_checkpoint, save_checkpoint
 
 DATA_ARGS = ["--nodes", "6,12", "--edge-prob", "0.5", "--node-vocab", "2,2",
              "--edge-vocab", "2,2", "--tasks", "2", "--seed", "3"]
@@ -217,6 +218,34 @@ class TestWorkflow:
         code, _, _ = run(capsys, ["eval", "--data", str(dataset), "--ckpt",
                                   str(bad)])
         assert code == 2
+
+    def test_eval_ill_typed_task_meta_names_file(self, dataset, capsys,
+                                                 tmp_path):
+        runs = str(tmp_path / "runs")
+        code, out, _ = run(capsys, ["train", "--mode", "full", "--data",
+                                    str(dataset), "--out", runs]
+                           + SMALL_MODEL + FAST_TRAIN)
+        assert code == 0
+        meta, params, buffers = load_checkpoint(
+            f"{runs}/{grep_value(out, 'fingerprint')}/task.ckpt")
+        reg = ParamRegistry()
+        for name, arr in params.items():
+            reg.add(name, arr, True, "backbone")
+        for name, arr in buffers.items():
+            reg.add_buffer(name, arr)
+        broken = {"config": {k: v for k, v in meta.items() if k != "config"},
+                  "seed": {k: v for k, v in meta.items() if k != "seed"}}
+        for key, value in (("seed", "0"), ("seed", True), ("seed", 1.5),
+                           ("config", ["emb_dim"]), ("backbone_ref", 7),
+                           ("backbone_ref", None)):
+            broken[f"{key}={value!r}"] = {**meta, key: value}
+        for label, bad_meta in broken.items():
+            path = tmp_path / "bad_meta.ckpt"
+            save_checkpoint(path, reg, bad_meta)
+            code, _, err = run(capsys, ["eval", "--data", str(dataset),
+                                        "--ckpt", str(path)])
+            assert code == 2, (label, err)
+            assert str(path) in err and label.split("=")[0] in err, (label, err)
 
 
 class TestConfigFile:
