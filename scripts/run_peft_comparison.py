@@ -18,7 +18,7 @@ from gnnpeft.config import PEFT_MODES, ModelConfig, PeftConfig, TrainConfig
 from gnnpeft.graphs import SplitSpec, Vocab, generate_synthetic, split
 from gnnpeft.model import init_params
 from gnnpeft.peft import apply_peft
-from gnnpeft.training import pretrain_edgepred, train_supervised
+from gnnpeft.training import encoder_state, pretrain_edgepred, train_supervised
 
 FAST_MODES = tuple(m for m in PEFT_MODES if m != "full") + ("full",)
 
@@ -44,9 +44,7 @@ def main() -> int:
                                lr=1e-3, seed=args.seed))
     print(f"edge-prediction pre-training loss: "
           f"{losses[0]:.3f} -> {losses[-1]:.3f}")
-    backbone = {n: pre_reg.get(n).data.copy() for n in pre_reg.names()
-                if not n.startswith("classifier.")}
-    buffers = {n: b.copy() for n, b in pre_reg.buffers.items()}
+    backbone = encoder_state(pre_reg)
 
     tcfg = TrainConfig(epochs=args.epochs, batch_size=32, lr=1e-3,
                        seed=args.seed)
@@ -54,10 +52,7 @@ def main() -> int:
           f"{'test auc':>9} {'gap':>7}")
     for mode in args.modes.split(","):
         reg = init_params(model, seed=args.seed)
-        for name, data in backbone.items():
-            reg.get(name).data[...] = data
-        for name, data in buffers.items():
-            reg.buffers[name][...] = data
+        reg.load_state(*backbone)
         peft = PeftConfig(mode=mode)
         apply_peft(reg, model, peft, seed=args.seed)
         counts = count_params(reg)

@@ -24,7 +24,7 @@ from gnnpeft.config import ModelConfig, PeftConfig, TrainConfig
 from gnnpeft.graphs import Dataset, SplitSpec, Vocab, generate_synthetic, split
 from gnnpeft.model import init_params
 from gnnpeft.peft import apply_peft
-from gnnpeft.training import pretrain_edgepred, train_supervised
+from gnnpeft.training import encoder_state, pretrain_edgepred, train_supervised
 
 
 def main() -> int:
@@ -62,11 +62,7 @@ def main() -> int:
             tr, model, TrainConfig(epochs=args.pretrain_epochs, batch_size=32,
                                    lr=1e-2, seed=seed))
         warm_reg = init_params(model, seed=seed)
-        for name in pre_reg.names():
-            if not name.startswith("classifier."):
-                warm_reg.get(name).data[...] = pre_reg.get(name).data
-        for name, buf in pre_reg.buffers.items():
-            warm_reg.buffers[name][...] = buf
+        warm_reg.load_state(*encoder_state(pre_reg))
         apply_peft(warm_reg, model, peft, seed=seed)
         warm = train_supervised(labeled, te, warm_reg, model, peft, tcfg,
                                 config_echo={"seed": seed, "init": "pretrained"})

@@ -9,7 +9,7 @@ from .analysis import (BoundInput, FlopsEstimate, GapReport, ParamCounts,
                        hoeffding_gap, log_hypothesis_size_for, sweep,
                        sweep_csv, sweep_plan)
 from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
-                     PEFT_MODES, config_dict, config_fingerprint)
+                     PEFT_MODES, config_fingerprint)
 from .graphs import (Dataset, DatasetFormatError, Graph, GraphBatch,
                      SplitSpec, Vocab, batch, cyclomatic_number,
                      generate_synthetic, load_jsonl, save_jsonl, split)

@@ -25,7 +25,8 @@ from .model import init_params
 from .peft import apply_peft
 from .registry import ParamRegistry
 from .rng import RngStream
-from .training import RunRecord, pretrain_edgepred, train_supervised
+from .training import (RunRecord, encoder_state, pretrain_edgepred,
+                       train_supervised)
 
 LN2 = math.log(2.0)
 
@@ -352,7 +353,7 @@ SWEEP_COLUMNS = ("fingerprint", "mode", "d", "b", "n_train", "seed",
 
 
 def _run_sweep_task(task: dict, train_ds: Dataset, test_ds: Dataset,
-                    pretrained_state: Optional[dict]) -> dict:
+                    pretrained_state: Optional[tuple[dict, dict]]) -> dict:
     model = ModelConfig(emb_dim=task["d"], num_layers=task["layers"],
                         num_tasks=train_ds.num_tasks, dropout=task["dropout"],
                         vocab=train_ds.vocab)
@@ -364,7 +365,7 @@ def _run_sweep_task(task: dict, train_ds: Dataset, test_ds: Dataset,
                        lr=task["lr"], seed=task["seed"])
     reg = init_params(model, seed=task["seed"])
     if pretrained_state is not None:
-        reg.load_state(pretrained_state["params"], pretrained_state["buffers"])
+        reg.load_state(*pretrained_state)
     apply_peft(reg, model, peft, seed=task["seed"])
     fp = config_fingerprint(task)
     record = train_supervised(train_ds, test_ds, reg, model, peft, tcfg,
@@ -479,7 +480,7 @@ def sweep(kind: str, dataset: Dataset, *, model: ModelConfig = ModelConfig(),
     train_ds, _, test_ds = split(dataset, split_spec, seed=0)
 
     # stage pre-trained backbones, shared across modes per (d, seed)
-    staged: dict[tuple[int, int], dict] = {}
+    staged: dict[tuple[int, int], tuple[dict, dict]] = {}
     if init == "pretrained" and kind != "expressivity":
         pe = pretrain_epochs if pretrain_epochs is not None else train.epochs
         for key in sorted({(t["d"], t["seed"]) for t in tasks}):
@@ -489,12 +490,7 @@ def sweep(kind: str, dataset: Dataset, *, model: ModelConfig = ModelConfig(),
                                dropout=model.dropout, vocab=dataset.vocab)
             pcfg = TrainConfig(epochs=pe, batch_size=train.batch_size,
                                lr=train.lr, seed=s)
-            reg, _ = pretrain_edgepred(train_ds, mcfg, pcfg)
-            staged[key] = {
-                "params": {n: reg.get(n).data.copy() for n in reg.names()
-                           if not n.startswith("classifier.")},
-                "buffers": {n: b.copy() for n, b in reg.buffers.items()},
-            }
+            staged[key] = encoder_state(pretrain_edgepred(train_ds, mcfg, pcfg)[0])
 
     def job_args(task: dict):
         tds = train_ds

@@ -298,7 +298,9 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _check_backbone_meta(meta: dict, model: ModelConfig) -> None:
+def _load_backbone(reg, path, model: ModelConfig) -> None:
+    """Load an encoder checkpoint built for ``model``'s shapes into ``reg``."""
+    meta, params, buffers = load_checkpoint(path)
     cfg = meta.get("config", {})
     for key, want in (("emb_dim", model.emb_dim),
                       ("num_layers", model.num_layers),
@@ -310,6 +312,7 @@ def _check_backbone_meta(meta: dict, model: ModelConfig) -> None:
             raise CheckpointFormatError(
                 f"backbone checkpoint was built with {key}={got}, "
                 f"this run uses {key}={want}")
+    reg.load_state(params, buffers)
 
 
 def cmd_train(args) -> int:
@@ -335,9 +338,7 @@ def cmd_train(args) -> int:
 
     reg = init_params(model, seed=train.seed)
     if args.backbone_ckpt:
-        meta, params, buffers = load_checkpoint(args.backbone_ckpt)
-        _check_backbone_meta(meta, model)
-        reg.load_state(params, buffers)
+        _load_backbone(reg, args.backbone_ckpt, model)
         backbone_ref = file_hash(args.backbone_ckpt)
     else:
         backbone_ref = f"random:{train.seed}"
@@ -393,9 +394,7 @@ def cmd_eval(args) -> int:
             raise CheckpointFormatError(
                 "backbone checkpoint hash does not match the one recorded "
                 "at training time")
-        bmeta, bparams, bbuffers = load_checkpoint(args.backbone_ckpt)
-        _check_backbone_meta(bmeta, model)
-        reg.load_state(bparams, bbuffers)
+        _load_backbone(reg, args.backbone_ckpt, model)
     apply_peft(reg, model, peft, seed=seed)
     reg.load_state(params, buffers)
 
@@ -422,7 +421,7 @@ SCALAR_KEYS = {"layers": _cast_int, "epochs": _cast_int,
                "batch_size": _cast_int, "lr": _cast_float,
                "dropout": _cast_float, "init": lambda k, v: v,
                "pretrain_epochs": _cast_int, "node_vocab": _cast_pair,
-               "edge_vocab": _cast_pair, "tasks": _cast_int}
+               "edge_vocab": _cast_pair}
 
 
 def _parse_sweep_grid(pairs: Sequence[str], config_path) -> tuple[dict, dict]:
@@ -644,7 +643,7 @@ def build_parser() -> _Parser:
     p.add_argument("grid", nargs="*", metavar="key=value",
                    help="grid keys: emb, b, frac, dfull, mode, seed "
                         "(comma lists); scalars: layers, epochs, batch_size, "
-                        "lr, dropout, init, pretrain_epochs, tasks")
+                        "lr, dropout, init, pretrain_epochs")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("count-params", help="exact parameter counts")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import Vocab
@@ -107,22 +107,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-
-
-def config_dict(model: ModelConfig, peft: PeftConfig, train: TrainConfig) -> dict:
-    """Flat, JSON-safe view of a full experiment configuration."""
-    out = {}
-    for prefix, cfg in (("model", model), ("peft", peft), ("train", train)):
-        d = asdict(cfg)
-        for key, val in d.items():
-            if key == "vocab":
-                out["model.node_vocab"] = list(cfg.vocab.node)
-                out["model.edge_vocab"] = list(cfg.vocab.edge)
-            elif key == "betas":
-                out["train.betas"] = list(val)
-            else:
-                out[f"{prefix}.{key}"] = val
-    return out
 
 
 # keys that steer output plumbing, not the computation itself

@@ -1,5 +1,7 @@
 """Optimization loop, edge-prediction pre-training, ranking metrics,
-and run recording.
+and run recording. Fine-tuning and pre-training share one fitting loop,
+``_fit``, and differ only in their batch loss; ``encoder_state`` is the
+one hand-off of a pre-trained backbone to another registry.
 
 Runs are deterministic functions of (configs, seed): batch order, dropout
 masks, edge hiding, and negative sampling all draw from named streams
@@ -14,7 +16,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .graphs import Dataset, Graph, batch as make_batch
 from .model import forward_logits, gin_node_states, init_params
 from .registry import ParamRegistry
 from .rng import RngStream
-from .tensor import EmptyLossError, Tape, Tensor, bce_with_logits, gather_rows, row_dot
+from .tensor import EmptyLossError, Tape, bce_with_logits, gather_rows, row_dot
 
 
 class TrainingDivergedError(RuntimeError):
@@ -234,13 +236,45 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# supervised fine-tuning / from-scratch training
+# the fitting loop; supervised fine-tuning / from-scratch training
 # ---------------------------------------------------------------------------
 
 def _batches(graphs: Sequence[Graph], order: np.ndarray, size: int):
     for start in range(0, len(order), size):
         idx = order[start:start + size]
         yield [graphs[i] for i in idx]
+
+
+def _fit(reg: ParamRegistry, cfg: TrainConfig, stream: str,
+         graphs: Sequence[Graph], batch_loss: Callable,
+         ) -> Iterator[tuple[int, Optional[float]]]:
+    """Adam over ``reg``'s trainable tensors, one tape per batch.
+
+    ``batch_loss(graphs, rng)`` returns (scalar loss, weight), or None to
+    skip the batch. Yields (epoch, weighted mean loss, or None if every
+    batch was skipped) after each epoch; raises TrainingDivergedError on a
+    non-finite loss.
+    """
+    opt = Adam(reg, cfg)
+    root = RngStream(cfg.seed, (stream,))
+    for epoch in range(1, cfg.epochs + 1):
+        order = root.child(f"epoch{epoch}.order").permutation(len(graphs))
+        losses, weights = [], []
+        for bi, chunk in enumerate(_batches(graphs, order, cfg.batch_size)):
+            with Tape() as tape:
+                out = batch_loss(chunk, root.child(f"epoch{epoch}.batch{bi}"))
+                if out is None:
+                    continue
+                loss, weight = out
+                val = float(loss.data)
+                if not np.isfinite(val):
+                    raise TrainingDivergedError(epoch, val)
+                tape.backward(loss)
+            opt.step()
+            opt.zero_grad()
+            losses.append(val)
+            weights.append(weight)
+        yield epoch, float(np.average(losses, weights=weights)) if weights else None
 
 
 def evaluate_auc(dataset: Dataset, reg: ParamRegistry, model: ModelConfig,
@@ -265,35 +299,23 @@ def train_supervised(train_ds: Dataset, test_ds: Dataset, reg: ParamRegistry,
     """Adam fine-tuning on the train split with per-epoch train/test AUC.
 
     Updates only trainable tensors (frozen ones are bitwise untouched by
-    construction). Raises TrainingDivergedError on a non-finite loss.
+    construction). Raises TrainingDivergedError on a non-finite loss and
+    UnlabelledEpochError when no batch of an epoch has a label.
     """
-    opt = Adam(reg, cfg)
-    root = RngStream(cfg.seed, ("train",))
+    def batch_loss(chunk, rng):
+        b = make_batch(chunk, train_ds.vocab)
+        logits = forward_logits(b, reg, model, peft, "train", rng)
+        try:
+            loss = bce_with_logits(logits, b.labels, b.label_mask)
+        except EmptyLossError:
+            return None  # every label in this batch is missing
+        return loss, int(b.label_mask.sum())
+
     record = RunRecord(fingerprint=fingerprint, config=config_echo or {})
-    graphs = train_ds.graphs
-    for epoch in range(1, cfg.epochs + 1):
-        order = root.child(f"epoch{epoch}.order").permutation(len(graphs))
-        losses, weights = [], []
-        for bi, chunk in enumerate(_batches(graphs, order, cfg.batch_size)):
-            b = make_batch(chunk, train_ds.vocab)
-            rng = root.child(f"epoch{epoch}.batch{bi}")
-            with Tape() as tape:
-                logits = forward_logits(b, reg, model, peft, "train", rng)
-                try:
-                    loss = bce_with_logits(logits, b.labels, b.label_mask)
-                except EmptyLossError:
-                    continue  # every label in this batch is missing
-                val = float(loss.data)
-                if not np.isfinite(val):
-                    raise TrainingDivergedError(epoch, val)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-            losses.append(val)
-            weights.append(int(b.label_mask.sum()))
-        if not weights:
+    for epoch, loss in _fit(reg, cfg, "train", train_ds.graphs, batch_loss):
+        if loss is None:
             raise UnlabelledEpochError(epoch)
-        record.train_loss.append(float(np.average(losses, weights=weights)))
+        record.train_loss.append(loss)
         record.train_auc.append(evaluate_auc(train_ds, reg, model, peft))
         record.test_auc.append(evaluate_auc(test_ds, reg, model, peft))
     return record
@@ -337,7 +359,8 @@ def pretrain_edgepred(dataset: Dataset, model: ModelConfig, cfg: TrainConfig,
     non-edges (resampled every epoch).
 
     Returns the registry (classifier untouched and meant to be discarded)
-    plus per-epoch mean losses.
+    plus per-epoch mean losses (NaN for an epoch with no graph of two or
+    more edges).
     """
     reg = init_params(model, seed=cfg.seed)
     peft = PeftConfig(mode="full")
@@ -345,61 +368,56 @@ def pretrain_edgepred(dataset: Dataset, model: ModelConfig, cfg: TrainConfig,
     # encoder + layers only so its Adam state stays empty.
     for name in ("classifier.weight", "classifier.bias"):
         reg.set_trainable(name, False)
-    opt = Adam(reg, cfg)
-    root = RngStream(cfg.seed, ("pretrain",))
-    graphs = dataset.graphs
-    epoch_losses: list[float] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = root.child(f"epoch{epoch}.order").permutation(len(graphs))
-        losses, weights = [], []
-        for bi, chunk in enumerate(_batches(graphs, order, cfg.batch_size)):
-            rng = root.child(f"epoch{epoch}.batch{bi}")
-            drop: dict[int, np.ndarray] = {}
-            pos_pairs: list[np.ndarray] = []
-            neg_pairs: list[np.ndarray] = []
-            offset = 0
-            for gi, g in enumerate(chunk):
-                k = _hidden_edge_count(g.num_edges)
-                if k:
-                    grng = rng.child(f"graph{gi}")
-                    hide = grng.choice(g.num_edges, size=k, replace=False)
-                    keep = np.ones(g.num_edges, dtype=bool)
-                    keep[hide] = False
-                    drop[gi] = keep
-                    pos_pairs.append(g.edges[np.sort(hide)] + offset)
-                    negs = _sample_negatives(g, k, grng.child("neg"))
-                    if negs.shape[0]:
-                        neg_pairs.append(negs + offset)
-                offset += g.num_nodes
-            b = make_batch(chunk, dataset.vocab, drop_edges=drop)
-            pairs = pos_pairs + neg_pairs
-            if not pairs:
-                continue
-            all_pairs = np.concatenate(pairs, axis=0)
-            n_pos = sum(p.shape[0] for p in pos_pairs)
-            targets = np.zeros(all_pairs.shape[0])
-            targets[:n_pos] = 1.0
-            with Tape() as tape:
-                x = gin_node_states(b, reg, model, peft, "train", rng.child("fwd"))
-                scores = row_dot(gather_rows(x, all_pairs[:, 0]),
-                                 gather_rows(x, all_pairs[:, 1]))
-                loss = bce_with_logits(scores, targets)
-                val = float(loss.data)
-                if not np.isfinite(val):
-                    raise TrainingDivergedError(epoch, val)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-            losses.append(val)
-            weights.append(all_pairs.shape[0])
-        if losses:
-            epoch_losses.append(float(np.average(losses, weights=weights)))
-        else:
-            epoch_losses.append(float("nan"))
-    return reg, epoch_losses
+    # the last batch's node states live until the next batch's replace them:
+    # freed at batch end, they let glibc trim the heap top, and re-faulting
+    # it costs ~10% of an epoch at d=512
+    x = None
+
+    def batch_loss(chunk, rng):
+        nonlocal x
+        drop: dict[int, np.ndarray] = {}
+        pos_pairs: list[np.ndarray] = []
+        neg_pairs: list[np.ndarray] = []
+        offset = 0
+        for gi, g in enumerate(chunk):
+            k = _hidden_edge_count(g.num_edges)
+            if k:
+                grng = rng.child(f"graph{gi}")
+                hide = grng.choice(g.num_edges, size=k, replace=False)
+                keep = np.ones(g.num_edges, dtype=bool)
+                keep[hide] = False
+                drop[gi] = keep
+                pos_pairs.append(g.edges[np.sort(hide)] + offset)
+                negs = _sample_negatives(g, k, grng.child("neg"))
+                if negs.shape[0]:
+                    neg_pairs.append(negs + offset)
+            offset += g.num_nodes
+        b = make_batch(chunk, dataset.vocab, drop_edges=drop)
+        pairs = pos_pairs + neg_pairs
+        if not pairs:
+            return None
+        all_pairs = np.concatenate(pairs, axis=0)
+        n_pos = sum(p.shape[0] for p in pos_pairs)
+        targets = np.zeros(all_pairs.shape[0])
+        targets[:n_pos] = 1.0
+        x = gin_node_states(b, reg, model, peft, "train", rng.child("fwd"))
+        scores = row_dot(gather_rows(x, all_pairs[:, 0]),
+                         gather_rows(x, all_pairs[:, 1]))
+        return bce_with_logits(scores, targets), all_pairs.shape[0]
+
+    losses = [float("nan") if loss is None else loss
+              for _, loss in _fit(reg, cfg, "pretrain", dataset.graphs, batch_loss)]
+    return reg, losses
 
 
 def encoder_param_names(reg: ParamRegistry) -> list[str]:
     """All parameter names except the task classifier (checkpointing a
     pre-trained backbone discards the task head)."""
     return [n for n in reg.names() if not n.startswith("classifier.")]
+
+
+def encoder_state(reg: ParamRegistry) -> tuple[dict, dict]:
+    """Copies of the ``encoder_param_names`` parameters and of every buffer,
+    as ``ParamRegistry.load_state`` takes them."""
+    return ({n: reg.get(n).data.copy() for n in encoder_param_names(reg)},
+            {n: b.copy() for n, b in reg.buffers.items()})

@@ -9,7 +9,6 @@ and take a few minutes each; everything else is near-instant.
 """
 
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -18,7 +17,6 @@ import time
 import mpmath
 import numpy as np
 
-import gnnpeft
 from gnnpeft import tensor as T
 from gnnpeft.analysis import (compute_gaps, count_params, estimate_flops,
                               hoeffding_gap, sweep)
@@ -30,9 +28,10 @@ from gnnpeft.model import (adaptergnn_layer_forward, backbone_layer,
                            gin_node_states, init_params, message_pass)
 from gnnpeft.peft import AdapterModule, adapter_forward, apply_peft, lora_merge
 from gnnpeft.rng import RngStream
-from gnnpeft.training import (MetricUndefinedError, pretrain_edgepred,
-                              roc_auc, train_supervised)
+from gnnpeft.training import (MetricUndefinedError, encoder_state,
+                              pretrain_edgepred, roc_auc, train_supervised)
 
+from child_env import child_env
 from gradcheck import assert_grads_close
 
 V22 = Vocab((2, 2), (2, 2))
@@ -551,11 +550,7 @@ def test_c10_transfer_gain_positive(capsys):
                 tr, model, TrainConfig(epochs=40, batch_size=32, lr=1e-2,
                                        seed=seed))
             reg_p = init_params(model, seed=seed)
-            for name in pre_reg.names():
-                if not name.startswith("classifier."):
-                    reg_p.get(name).data[...] = pre_reg.get(name).data
-            for name, buf in pre_reg.buffers.items():
-                reg_p.buffers[name][...] = buf
+            reg_p.load_state(*encoder_state(pre_reg))
             apply_peft(reg_p, model, peft, seed=seed)
             rec_p = train_supervised(labeled, te, reg_p, model, peft, down_cfg,
                                      config_echo={"seed": seed,
@@ -632,13 +627,9 @@ def test_c11_flops_estimator(capsys):
 # ---------------------------------------------------------------------------
 
 def _cli(args, cwd):
-    # the child runs in ``cwd``, so a relative PYTHONPATH would not find
-    # the package: put the absolute source directory first
-    src = str(pathlib.Path(gnnpeft.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "gnnpeft", *args],
                           capture_output=True, text=True, cwd=cwd,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          env=child_env())
     assert proc.returncode == 0, f"{args}: {proc.stderr}"
     return proc
 

@@ -13,6 +13,8 @@ from gnnpeft.cli import (build_run_configs, canonical_echo, main,
 from gnnpeft.config import ModelConfig, PeftConfig, TrainConfig
 from gnnpeft.registry import ParamRegistry, load_checkpoint, save_checkpoint
 
+from child_env import child_env
+
 DATA_ARGS = ["--nodes", "6,12", "--edge-prob", "0.5", "--node-vocab", "2,2",
              "--edge-vocab", "2,2", "--tasks", "2", "--seed", "3"]
 SMALL_MODEL = ["--emb", "8", "--layers", "2", "--node-vocab", "2,2",
@@ -78,7 +80,7 @@ class TestBound:
         proc = subprocess.run(
             [sys.executable, "-m", "gnnpeft", "bound", "--logH", "0",
              "--delta", "0.2706705664732254", "--n", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "gap 1.0" in proc.stdout
 
@@ -362,6 +364,15 @@ class TestSweepCommand:
                            + SWEEP_COMMON)
         assert code == 1
         assert "unknown sweep key" in err
+
+    def test_tasks_is_not_a_sweep_key(self, dataset, capsys):
+        # the task count comes from the dataset; a ``tasks`` scalar would
+        # only fork the run fingerprint of one experiment
+        code, _, err = run(capsys, ["sweep", "--kind", "model_size", "--data",
+                                    str(dataset), "--csv", "emb=6", "tasks=9"]
+                           + SWEEP_COMMON)
+        assert code == 1
+        assert "unknown sweep key 'tasks'" in err
 
     def test_bad_grid_value_fails_before_running(self, dataset, capsys):
         code, _, _ = run(capsys, ["sweep", "--kind", "model_size", "--data",
