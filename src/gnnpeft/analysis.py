@@ -22,7 +22,7 @@ from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                      config_fingerprint)
 from .graphs import Dataset, SplitSpec, split
 from .model import init_params
-from .peft import apply_peft
+from .peft import ADAPTER_SLOTS, apply_peft, backbone_trainable, check_fits
 from .registry import ParamRegistry
 from .rng import RngStream
 from .training import (RunRecord, encoder_state, pretrain_edgepred,
@@ -203,8 +203,7 @@ def _adapter_cost(w: _FlopWalker, label: str, rows: int, d: int, b: int,
 
 
 def _walk(model: ModelConfig, peft: PeftConfig, batch_size: int,
-          train_phase: bool, avg_nodes: float, avg_edges: float,
-          bias_tuning: bool) -> _FlopWalker:
+          train_phase: bool, avg_nodes: float, avg_edges: float) -> _FlopWalker:
     d, H, L, T = model.emb_dim, model.hidden, model.num_layers, model.num_tasks
     G = batch_size
     n = int(round(G * avg_nodes))
@@ -213,14 +212,10 @@ def _walk(model: ModelConfig, peft: PeftConfig, batch_size: int,
     w = _FlopWalker(train_phase)
     c = FLOP_COSTS
 
-    def layer_w_train(l: int) -> bool:
-        if mode == "full":
-            return True
-        if mode == "partial_k":
-            return l >= L - peft.k
-        return False
+    def trains(name: str) -> bool:
+        return backbone_trainable(name, peft, L)
 
-    enc_train = mode == "full"
+    enc_train = trains("encoder.node_emb.0.weight")
     x_rg = enc_train
     w.elementwise("encoder.node_emb", n * d, c["emb_fwd"],
                   2 * c["emb_bwd"], enc_train)
@@ -231,10 +226,9 @@ def _walk(model: ModelConfig, peft: PeftConfig, batch_size: int,
                   2 * c["emb_bwd"], enc_train)
 
     for l in range(L):
-        wt = layer_w_train(l)
-        bias_t = wt or mode == "bitfit" or (mode == "adaptergnn" and bias_tuning)
-        bn_t = wt or mode == "prompt_feat" or (mode == "adaptergnn"
-                                               and peft.tune_backbone_bn)
+        wt = trains(f"layer.{l}.mlp.0.weight")
+        bias_t = trains(f"layer.{l}.mlp.0.bias")
+        bn_t = trains(f"layer.{l}.bn.gamma")
         m_rg = w.elementwise(f"layer.{l}.mp", m * d, c["mp_fwd"], c["mp_bwd"],
                              x_rg or e_rg)
         if mode == "prompt_node":
@@ -272,27 +266,20 @@ def _walk(model: ModelConfig, peft: PeftConfig, batch_size: int,
             h_rg = w.add(f"layer.{l}.mlp.1.lora_add", n * d, int(h_rg) + 1)
         h_rg = w.bn(f"layer.{l}.bn", n * d, bn_t, h_rg)
 
-        if mode == "adaptergnn":
-            a1_rg = _adapter_cost(w, f"layer.{l}.adapter1", n, d,
-                                  peft.bottleneck, x_rg)
-            a2_rg = _adapter_cost(w, f"layer.{l}.adapter2", n, d,
-                                  peft.bottleneck, m_rg)
-            a1_rg = w.elementwise(f"layer.{l}.scale1", n * d, c["scale_fwd"],
-                                  c["scale_bwd_input"] if a1_rg else 0, True)
-            w._log(f"layer.{l}.scale1_grad", 0, c["scale_bwd_scalar"] * n * d)
-            a2_rg = w.elementwise(f"layer.{l}.scale2", n * d, c["scale_fwd"],
-                                  c["scale_bwd_input"] if a2_rg else 0, True)
-            w._log(f"layer.{l}.scale2_grad", 0, c["scale_bwd_scalar"] * n * d)
-            h_rg = w.add(f"layer.{l}.combine", n * d,
-                         int(h_rg) + int(a1_rg) + int(a2_rg))
-        elif mode == "adapter_par":
-            a_rg = _adapter_cost(w, f"layer.{l}.adapter", n, d,
-                                 peft.bottleneck, m_rg)
-            h_rg = w.add(f"layer.{l}.combine", n * d, int(h_rg) + int(a_rg))
-        elif mode == "adapter_seq":
-            a_rg = _adapter_cost(w, f"layer.{l}.adapter", n, d,
-                                 peft.bottleneck, h_rg)
-            h_rg = w.add(f"layer.{l}.combine", n * d, int(h_rg) + int(a_rg))
+        slots = ADAPTER_SLOTS.get(mode)
+        if slots is not None:
+            input_rg = {"x": x_rg, "m": m_rg, "h": h_rg}
+            outs_rg = [_adapter_cost(w, f"layer.{l}.{slot}", n, d,
+                                     peft.bottleneck, input_rg[src])
+                       for slot, src, _ in slots]
+            for i, (_, _, scale) in enumerate(slots):
+                if scale is not None:
+                    outs_rg[i] = w.elementwise(
+                        f"layer.{l}.{scale}", n * d, c["scale_fwd"],
+                        c["scale_bwd_input"] if outs_rg[i] else 0, True)
+                    w._log(f"layer.{l}.{scale}_grad", 0,
+                           c["scale_bwd_scalar"] * n * d)
+            h_rg = w.add(f"layer.{l}.combine", n * d, int(h_rg) + sum(outs_rg))
 
         if l < L - 1:
             h_rg = w.elementwise(f"layer.{l}.act", n * d,
@@ -331,13 +318,12 @@ def estimate_flops(model: ModelConfig, peft: PeftConfig, batch_size: int,
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     train_phase = phase == "train"
-    w = _walk(model, peft, batch_size, train_phase, avg_nodes, avg_edges,
-              peft.bias_tuning)
+    w = _walk(model, peft, batch_size, train_phase, avg_nodes, avg_edges)
     variants = {}
     if peft.mode == "adaptergnn":
         for label, flag in (("bias_tuned", True), ("bias_frozen", False)):
-            v = _walk(model, peft, batch_size, train_phase, avg_nodes,
-                      avg_edges, flag)
+            v = _walk(model, replace(peft, tune_backbone_bias=flag),
+                      batch_size, train_phase, avg_nodes, avg_edges)
             variants[label] = v.fwd + v.bwd
     return FlopsEstimate(total=w.fwd + w.bwd, forward=w.fwd, backward=w.bwd,
                          items=tuple(w.items), constants=dict(FLOP_COSTS),
@@ -410,9 +396,7 @@ def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
         if not d_grid:
             raise ConfigError("model_size sweep needs d_grid")
         for d in d_grid:
-            ModelConfig(emb_dim=d, num_layers=model.num_layers)  # validate early
             for mode in modes:
-                PeftConfig(mode=mode, bottleneck=bottleneck)
                 for s in seeds:
                     tasks.append(dict(base, mode=mode, d=d, b=bottleneck, seed=s))
     elif kind == "data_size":
@@ -429,8 +413,6 @@ def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
         if not b_grid:
             raise ConfigError("bottleneck sweep needs b_grid")
         for b in b_grid:
-            if b != 0 and b >= model.emb_dim:
-                raise ConfigError(f"bottleneck {b} must be < emb_dim {model.emb_dim}")
             for s in seeds:
                 tasks.append(dict(base, mode="adaptergnn", d=model.emb_dim,
                                   b=b, seed=s))
@@ -441,12 +423,14 @@ def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
             tasks.append(dict(base, mode="adaptergnn", d=model.emb_dim,
                               b=bottleneck, seed=s, init="scratch"))
         for d in d_full_grid:
-            ModelConfig(emb_dim=d, num_layers=model.num_layers)
             for s in seeds:
                 tasks.append(dict(base, mode="full", d=d, b=bottleneck, seed=s,
                                   init="scratch"))
     else:
         raise ConfigError(f"unknown sweep kind {kind!r}")
+    for t in tasks:
+        check_fits(ModelConfig(emb_dim=t["d"], num_layers=t["layers"]),
+                   PeftConfig(mode=t["mode"], bottleneck=t["b"]))
     return tasks
 
 

@@ -301,6 +301,9 @@ def cmd_pretrain(args) -> int:
 def _load_backbone(reg, path, model: ModelConfig) -> None:
     """Load an encoder checkpoint built for ``model``'s shapes into ``reg``."""
     meta, params, buffers = load_checkpoint(path)
+    if meta.get("kind") != "encoder":
+        raise CheckpointFormatError(
+            f"{path} is not an encoder checkpoint (kind {meta.get('kind')!r})")
     cfg = meta.get("config", {})
     for key, want in (("emb_dim", model.emb_dim),
                       ("num_layers", model.num_layers),

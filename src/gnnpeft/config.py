@@ -57,10 +57,11 @@ class ModelConfig:
 class PeftConfig:
     """Tuning-mode selector plus the mode-relevant hyperparameters.
 
-    ``tune_backbone_bias=None`` resolves to True exactly for the
-    dual-adapter mode (its recipe also tunes the backbone MLP biases) and
-    False elsewhere. Backbone BN affine parameters stay frozen in that
-    mode unless ``tune_backbone_bn`` is set.
+    ``tune_backbone_bias`` and ``tune_backbone_bn`` belong to the
+    dual-adapter mode, the only one that reads them: ``None`` resolves to
+    tuning the backbone MLP biases (its recipe), and backbone BN affine
+    parameters stay frozen unless ``tune_backbone_bn`` is set. Any other
+    mode refuses a set value, so one experiment has one fingerprint.
     """
     mode: str = "full"
     bottleneck: int = 15
@@ -80,6 +81,11 @@ class PeftConfig:
             raise ConfigError(f"lora_rank must be >= 1, got {self.lora_rank}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.mode != "adaptergnn" and (self.tune_backbone_bias is not None
+                                          or self.tune_backbone_bn):
+            raise ConfigError(
+                "tune_backbone_bias and tune_backbone_bn apply only to mode "
+                f"adaptergnn, not {self.mode!r}")
 
     @property
     def bias_tuning(self) -> bool:

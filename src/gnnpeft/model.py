@@ -25,13 +25,14 @@ the plain backbone.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from .config import ModelConfig, PeftConfig
 from .graphs import GraphBatch
-from .peft import AdapterModule, adapter_forward
+from .peft import ADAPTER_SLOTS, AdapterModule, adapter_forward
 from .registry import ParamRegistry
 from .rng import RngStream
 from .tensor import (BatchNormState, Tensor, add, batchnorm1d,
@@ -140,20 +141,24 @@ def _adapter_out(x: Tensor, reg: ParamRegistry, prefix: str,
     return adapter_forward(x, AdapterModule.from_registry(reg, prefix), mode)
 
 
-def adaptergnn_layer_forward(x: Tensor, m: Tensor, reg: ParamRegistry, l: int,
-                             peft: PeftConfig, mode: str) -> Tensor:
-    """Dual-adapter combination for layer l:
-
-    h = BN(MLP(m)) + s1·A1(x) + s2·A2(m)
-
-    where x is the layer input, m its message-passing output, A1/A2 the
-    layer's two adapters, and s1/s2 the learnable scalar scalings.
+def layer_forward(x: Tensor, m: Tensor, reg: ParamRegistry, l: int,
+                  peft: PeftConfig, mode: str) -> Tensor:
+    """Layer l's output, h = BN(MLP(m)) + Σ s·A(input) over the mode's
+    ``ADAPTER_SLOTS``: x is the layer input, m its message-passing output,
+    each slot's adapter A reads x, m or BN(MLP(m)), and s is the slot's
+    learnable scalar scaling (1 without one). For the dual-adapter mode,
+    h = BN(MLP(m)) + s1·A1(x) + s2·A2(m).
     """
     h = backbone_layer(m, reg, l, mode)
-    a1 = _adapter_out(x, reg, f"layer.{l}.adapter1", peft.bottleneck, mode)
-    a2 = _adapter_out(m, reg, f"layer.{l}.adapter2", peft.bottleneck, mode)
-    return add(h, add(mul_elementwise(a1, reg.get(f"layer.{l}.scale1")),
-                      mul_elementwise(a2, reg.get(f"layer.{l}.scale2"))))
+    slots = ADAPTER_SLOTS.get(peft.mode)
+    if slots is None:
+        return h
+    inputs = {"x": x, "m": m, "h": h}
+    outs = [_adapter_out(inputs[src], reg, f"layer.{l}.{slot}",
+                         peft.bottleneck, mode) for slot, src, _ in slots]
+    outs = [a if scale is None else mul_elementwise(a, reg.get(f"layer.{l}.{scale}"))
+            for a, (_, _, scale) in zip(outs, slots)]
+    return add(h, reduce(add, outs))
 
 
 def gin_node_states(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,
@@ -168,16 +173,7 @@ def gin_node_states(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,
         m = message_pass(x, batch, e)
         if f"layer.{l}.prompt" in reg:
             m = add(m, reg.get(f"layer.{l}.prompt"))
-        if peft.mode == "adaptergnn":
-            h = adaptergnn_layer_forward(x, m, reg, l, peft, mode)
-        else:
-            h = backbone_layer(m, reg, l, mode)
-            if peft.mode == "adapter_par":
-                h = add(h, _adapter_out(m, reg, f"layer.{l}.adapter",
-                                        peft.bottleneck, mode))
-            elif peft.mode == "adapter_seq":
-                h = add(h, _adapter_out(h, reg, f"layer.{l}.adapter",
-                                        peft.bottleneck, mode))
+        h = layer_forward(x, m, reg, l, peft, mode)
         del m  # an eval forward frees each layer's activations as it goes
         if l < config.num_layers - 1:
             x = relu(h)

@@ -1,9 +1,13 @@
 """Tuning modes: dual-adapter method plus the baseline zoo.
 
-Every mode is realized the same way: ``apply_peft`` inserts any new
-parameters into the registry (group ``peft``) and then sets trainable
-flags. The forward pass consults the registry by name, so inserted
-modules activate without touching backbone code paths.
+Each tuning decision lives once, in this module's mode table:
+``backbone_trainable`` says which backbone and classifier parameters
+train, ``ADAPTER_SLOTS`` says where each adapter mode's adapters join a
+layer, and ``check_fits`` says which widths and depths a mode accepts.
+``apply_peft`` sets the flags and inserts the new parameters (group
+``peft``); ``model.layer_forward`` and the FLOP walker in ``analysis``
+read the same table. The forward pass consults the registry by name, so
+inserted modules activate without touching backbone code paths.
 
 Modes and their insertions:
   full         — nothing inserted; everything trainable.
@@ -105,95 +109,84 @@ def _mlp_linear_dims(model: ModelConfig) -> list[tuple[int, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# mode policies
+# the tuning-mode table
 # ---------------------------------------------------------------------------
+
+# Per adapter mode, the adapters each layer gets: (slot under ``layer.{l}``,
+# the input the adapter reads, its scalar scaling or None). The inputs are
+# "x" (the layer input), "m" (the message-passing output) and "h"
+# (BN(MLP(m))).
+ADAPTER_SLOTS = {
+    "adaptergnn": (("adapter1", "x", "scale1"), ("adapter2", "m", "scale2")),
+    "adapter_par": (("adapter", "m", None),),
+    "adapter_seq": (("adapter", "h", None),),
+}
+
+
+def backbone_trainable(name: str, peft: PeftConfig, num_layers: int) -> bool:
+    """Whether backbone or classifier parameter ``name`` trains under
+    ``peft``. Parameters a mode inserts always train."""
+    mode = peft.mode
+    if mode == "full" or name.startswith("classifier."):
+        return True
+    if mode == "partial_k":
+        return (name.startswith("layer.")
+                and int(name.split(".")[1]) >= num_layers - peft.k)
+    if ".mlp." in name and name.endswith(".bias"):
+        return mode == "bitfit" or peft.bias_tuning
+    if name.startswith("layer.") and name.endswith((".bn.gamma", ".bn.beta")):
+        return mode == "prompt_feat" or peft.tune_backbone_bn
+    return False
+
+
+def check_fits(model: ModelConfig, peft: PeftConfig) -> None:
+    """Raise ConfigError unless ``peft`` applies to ``model``: an adapter
+    bottleneck stays strictly below the embedding dimension (0 is the
+    identity), and partial_k cannot exceed the layer count."""
+    d, b = model.emb_dim, peft.bottleneck
+    if peft.mode in ADAPTER_SLOTS and b >= d and b != 0:
+        raise ConfigError(
+            f"adapter bottleneck {b} must be < emb_dim {d} (or 0 for identity)")
+    if peft.mode == "partial_k" and peft.k > model.num_layers:
+        raise ConfigError(
+            f"partial_k k={peft.k} exceeds num_layers {model.num_layers}")
+
 
 def apply_peft(reg: ParamRegistry, model: ModelConfig, peft: PeftConfig,
                seed: int = 0) -> ParamRegistry:
-    """Insert mode-specific parameters and set all trainable flags.
+    """Set every trainable flag by ``backbone_trainable``, then insert the
+    mode's parameters layer by layer.
 
-    Deterministic per seed. Raises ConfigError for invariant violations
-    (adapter bottleneck must stay strictly below the embedding dimension;
-    partial_k cannot exceed the layer count).
+    Deterministic per seed. Raises ConfigError where ``check_fits`` does.
     """
-    mode = peft.mode
-    d, L = model.emb_dim, model.num_layers
+    check_fits(model, peft)
+    mode, d, b = peft.mode, model.emb_dim, peft.bottleneck
     rng = RngStream(seed, ("peft", mode))
-
-    if mode == "full":
-        reg.set_all_trainable(True)
-        return reg
-
-    reg.set_all_trainable(False)
-    reg.set_trainable_where(lambda n: n.startswith("classifier."), True)
-
-    if mode in ("adaptergnn", "adapter_seq", "adapter_par"):
-        b = peft.bottleneck
-        if b >= d and b != 0:
-            raise ConfigError(
-                f"adapter bottleneck {b} must be < emb_dim {d} (or 0 for identity)")
-        for l in range(L):
-            if mode == "adaptergnn":
-                if b > 0:
-                    _insert_adapter(reg, rng, f"layer.{l}.adapter1", d, b)
-                    _insert_adapter(reg, rng, f"layer.{l}.adapter2", d, b)
-                reg.add(f"layer.{l}.scale1", np.full(1, peft.scaling_init), True, "peft")
-                reg.add(f"layer.{l}.scale2", np.full(1, peft.scaling_init), True, "peft")
-            elif b > 0:
-                _insert_adapter(reg, rng, f"layer.{l}.adapter", d, b)
-        if mode == "adaptergnn":
-            if peft.bias_tuning:
-                reg.set_trainable_where(
-                    lambda n: ".mlp." in n and n.endswith(".bias"), True)
-            if peft.tune_backbone_bn:
-                reg.set_trainable_where(
-                    lambda n: n.startswith("layer.") and
-                    (n.endswith(".bn.gamma") or n.endswith(".bn.beta")) and
-                    ".adapter" not in n, True)
-        return reg
-
-    if mode == "lora":
-        r = peft.lora_rank
-        for l in range(L):
-            for i, n_in, n_out in _mlp_linear_dims(model):
-                a_name = f"layer.{l}.mlp.{i}.lora_a"
-                reg.add(a_name,
-                        rng.child(a_name).normal(0.0, 0.02, size=(n_in, r)),
-                        True, "peft")
-                reg.add(f"layer.{l}.mlp.{i}.lora_b", np.zeros((r, n_out)),
-                        True, "peft")
-        return reg
-
-    if mode == "bitfit":
-        reg.set_trainable_where(lambda n: ".mlp." in n and n.endswith(".bias"), True)
-        return reg
-
-    if mode == "ia3":
-        for l in range(L):
-            for i, n_in, _ in _mlp_linear_dims(model):
-                reg.add(f"layer.{l}.mlp.{i}.ia3", np.ones(n_in), True, "peft")
-        return reg
-
+    for n in reg.names():
+        reg.set_trainable(n, backbone_trainable(n, peft, model.num_layers))
     if mode == "prompt_feat":
         reg.add("prompt.feature", np.zeros(d), True, "peft")
-        reg.set_trainable_where(
-            lambda n: n.startswith("layer.") and
-            (n.endswith(".bn.gamma") or n.endswith(".bn.beta")), True)
-        return reg
-
-    if mode == "prompt_node":
-        for l in range(L):
+    slots = ADAPTER_SLOTS.get(mode, ())
+    for l in range(model.num_layers):
+        if b > 0:
+            for slot, _, _ in slots:
+                _insert_adapter(reg, rng, f"layer.{l}.{slot}", d, b)
+        for _, _, scale in slots:
+            if scale is not None:
+                reg.add(f"layer.{l}.{scale}", np.full(1, peft.scaling_init),
+                        True, "peft")
+        if mode == "prompt_node":
             reg.add(f"layer.{l}.prompt", np.zeros(d), True, "peft")
-        return reg
-
-    if mode == "partial_k":
-        if peft.k > L:
-            raise ConfigError(f"partial_k k={peft.k} exceeds num_layers {L}")
-        for l in range(L - peft.k, L):
-            reg.set_trainable_where(lambda n, l=l: n.startswith(f"layer.{l}."), True)
-        return reg
-
-    raise ConfigError(f"unknown tuning mode {mode!r}")
+        for i, n_in, n_out in _mlp_linear_dims(model):
+            name = f"layer.{l}.mlp.{i}"
+            if mode == "lora":
+                reg.add(f"{name}.lora_a", rng.child(f"{name}.lora_a").normal(
+                    0.0, 0.02, size=(n_in, peft.lora_rank)), True, "peft")
+                reg.add(f"{name}.lora_b", np.zeros((peft.lora_rank, n_out)),
+                        True, "peft")
+            elif mode == "ia3":
+                reg.add(f"{name}.ia3", np.ones(n_in), True, "peft")
+    return reg
 
 
 def lora_merge(reg: ParamRegistry, peft: PeftConfig) -> ParamRegistry:

@@ -95,18 +95,6 @@ class ParamRegistry:
         p.trainable = bool(flag)
         p.tensor.set_requires_grad(flag)
 
-    def set_all_trainable(self, flag: bool) -> None:
-        for name in self.params:
-            self.set_trainable(name, flag)
-
-    def set_trainable_where(self, predicate, flag: bool) -> int:
-        hits = 0
-        for name in self.params:
-            if predicate(name):
-                self.set_trainable(name, flag)
-                hits += 1
-        return hits
-
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.tensor.zero_grad()

@@ -23,9 +23,9 @@ from gnnpeft.analysis import (compute_gaps, count_params, estimate_flops,
 from gnnpeft.config import PEFT_MODES, ModelConfig, PeftConfig, TrainConfig
 from gnnpeft.graphs import (Dataset, SplitSpec, Vocab, batch,
                             generate_synthetic, split)
-from gnnpeft.model import (adaptergnn_layer_forward, backbone_layer,
-                           edge_embeddings, encode_nodes, forward_logits,
-                           gin_node_states, init_params, message_pass)
+from gnnpeft.model import (backbone_layer, edge_embeddings, encode_nodes,
+                           forward_logits, gin_node_states, init_params,
+                           layer_forward, message_pass)
 from gnnpeft.peft import AdapterModule, adapter_forward, apply_peft, lora_merge
 from gnnpeft.rng import RngStream
 from gnnpeft.training import (MetricUndefinedError, encoder_state,
@@ -282,7 +282,7 @@ def test_c03_init_transparency(capsys):
             a2 = adapter_forward(
                 m, AdapterModule.from_registry(reg, f"layer.{l}.adapter2"),
                 "eval").data
-            h_ad = adaptergnn_layer_forward(x, m, reg, l, peft, "eval")
+            h_ad = layer_forward(x, m, reg, l, peft, "eval")
             s1 = abs(float(reg.get(f"layer.{l}.scale1").data[0]))
             s2 = abs(float(reg.get(f"layer.{l}.scale2").data[0]))
             dev = np.abs(h_ad.data - h_bb)

@@ -13,7 +13,7 @@ from gnnpeft.analysis import (BoundInput, FLOP_COSTS, GapReport, PairingError,
                               bound, compute_gaps, count_params,
                               estimate_flops, hoeffding_gap,
                               log_hypothesis_size_for, sweep, sweep_csv,
-                              SWEEP_COLUMNS)
+                              sweep_plan, SWEEP_COLUMNS)
 from gnnpeft.config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                             config_fingerprint)
 from gnnpeft.graphs import Vocab, generate_synthetic
@@ -277,6 +277,18 @@ class TestSweep:
                   model=ModelConfig(emb_dim=8, vocab=VOCAB), b_grid=(8,))
         with pytest.raises(ConfigError):
             sweep("nonsense", ds, d_grid=(8,))
+
+    @pytest.mark.parametrize("kind, grid", [
+        ("model_size", dict(d_grid=(32, 8), modes=("full", "adaptergnn"))),
+        ("data_size", dict(frac_grid=(0.5,), modes=("full", "adapter_seq"))),
+        ("bottleneck", dict(b_grid=(2, 8))),
+        ("expressivity", dict(d_full_grid=(32,))),
+    ])
+    def test_plan_refuses_adapter_as_wide_as_model(self, kind, grid):
+        # every kind plans an adapter run at emb_dim 8 with bottleneck >= 8
+        model = ModelConfig(emb_dim=8, num_layers=2, vocab=VOCAB)
+        with pytest.raises(ConfigError, match="must be < emb_dim 8"):
+            sweep_plan(kind, model=model, bottleneck=15, **grid)
 
     def test_bottleneck_zero_allowed(self):
         ds = tiny_dataset()

@@ -10,7 +10,7 @@ import pytest
 
 from gnnpeft.cli import (build_run_configs, canonical_echo, main,
                          parse_config_file)
-from gnnpeft.config import ModelConfig, PeftConfig, TrainConfig
+from gnnpeft.config import PEFT_MODES, ModelConfig, PeftConfig, TrainConfig
 from gnnpeft.registry import ParamRegistry, load_checkpoint, save_checkpoint
 
 from child_env import child_env
@@ -99,6 +99,20 @@ class TestCountParams:
                                     "--emb", "8", "--layers", "1",
                                     "--tasks", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", [["--tune-backbone-bias", "true"],
+                                      ["--tune-backbone-bias", "false"],
+                                      ["--tune-backbone-bn", "true"]])
+    def test_adapter_flags_refused_by_other_modes(self, capsys, flag):
+        argv = ["count-params", "--mode", "lora", "--emb", "16", "--layers", "2"]
+        code, _, err = run(capsys, argv + flag)
+        assert code == 1
+        assert "apply only to mode adaptergnn, not 'lora'" in err
+        # the values a config.txt echo carries for every mode stay accepted
+        code, out, _ = run(capsys, argv + ["--tune-backbone-bias", "none",
+                                           "--tune-backbone-bn", "false"])
+        assert code == 0
+        assert grep_value(out, "trainable") == "1937"
 
     def test_writes_json_with_out(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["count-params", "--mode", "bitfit",
@@ -197,6 +211,22 @@ class TestWorkflow:
         assert code == 0
         assert float(grep_value(out, "auc")) == pytest.approx(
             float(test_auc), abs=1e-9)
+
+    def test_task_checkpoint_refused_as_backbone(self, dataset, capsys,
+                                                 tmp_path):
+        runs = str(tmp_path / "runs")
+        code, out, _ = run(capsys, ["train", "--mode", "full", "--data",
+                                    str(dataset), "--out", runs]
+                           + SMALL_MODEL + FAST_TRAIN)
+        assert code == 0
+        task = f"{runs}/{grep_value(out, 'fingerprint')}/task.ckpt"
+        code, _, err = run(capsys, ["train", "--mode", "adaptergnn",
+                                    "--bottleneck", "3", "--data",
+                                    str(dataset), "--out", runs,
+                                    "--backbone-ckpt", task]
+                           + SMALL_MODEL + FAST_TRAIN)
+        assert code == 2
+        assert f"{task} is not an encoder checkpoint (kind 'task')" in err
 
     def test_eval_without_required_backbone(self, dataset, capsys, tmp_path):
         runs = str(tmp_path / "runs")
@@ -395,6 +425,17 @@ class TestFlopsCommand:
         assert "variant bias_tuned" in out
         items = [l for l in out.splitlines() if l.startswith("item ")]
         assert sum(int(l.rsplit(" ", 1)[1]) for l in items) == total
+
+    @pytest.mark.parametrize("mode", PEFT_MODES)
+    def test_breakdown_sums_to_total_in_every_mode(self, mode, capsys):
+        code, out, _ = run(capsys, ["flops", "--mode", mode, "--emb", "8",
+                                    "--layers", "2", "--tasks", "1",
+                                    "--bottleneck", "2", "--batch", "2",
+                                    "--breakdown"])
+        assert code == 0
+        items = [l for l in out.splitlines() if l.startswith("item ")]
+        assert sum(int(l.rsplit(" ", 1)[1]) for l in items) == \
+            int(grep_value(out, "total"))
 
     def test_bad_phase_rejected(self, capsys):
         code, _, _ = run(capsys, ["flops", "--mode", "full", "--phase",

@@ -8,7 +8,7 @@ from gnnpeft import graphs as G
 from gnnpeft import model as M
 from gnnpeft import tensor as T
 from gnnpeft.analysis import count_params
-from gnnpeft.config import ConfigError, ModelConfig, PeftConfig
+from gnnpeft.config import PEFT_MODES, ConfigError, ModelConfig, PeftConfig
 from gnnpeft.peft import (AdapterModule, ModeError, adapter_forward,
                           apply_peft, lora_merge)
 
@@ -103,6 +103,15 @@ class TestFlagPolicies:
             reg, _, pc = fresh(mode, bottleneck=4)
             assert not pc.bias_tuning
             assert not reg.params["layer.0.mlp.0.bias"].trainable, mode
+
+    @pytest.mark.parametrize("mode", [m for m in PEFT_MODES if m != "adaptergnn"])
+    @pytest.mark.parametrize("flag", [dict(tune_backbone_bias=True),
+                                      dict(tune_backbone_bias=False),
+                                      dict(tune_backbone_bn=True)])
+    def test_adapter_flags_refused_by_other_modes(self, mode, flag):
+        with pytest.raises(ConfigError, match="apply only to mode adaptergnn"):
+            PeftConfig(mode=mode, **flag)
+        PeftConfig(mode=mode, tune_backbone_bias=None, tune_backbone_bn=False)
 
     def test_prompt_feat_tunes_backbone_bn(self):
         reg, _, _ = fresh("prompt_feat")
