@@ -13,6 +13,8 @@ import concurrent.futures
 import csv
 import io
 import math
+import sys
+import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -310,8 +312,12 @@ def estimate_flops(model: ModelConfig, peft: PeftConfig, batch_size: int,
     gathered edge or node element (``mp_*``, ``emb_*``), while the tape
     computes them with a padded block-diagonal matmul and count-times-table
     matmuls, and the batch's shape is taken from ``avg_nodes`` and
-    ``avg_edges``. For the dual-adapter mode the estimate also reports
-    both backbone-bias treatments (tuned vs. frozen).
+    ``avg_edges``. Layer 0 is still charged as dense n×d work, although
+    the forward pass runs its linear maps on code counts as Z·(S·W) with
+    r ≪ d rows in S, so the estimate overstates layer 0's arithmetic and
+    its values do not depend on which path runs. For the dual-adapter
+    mode the estimate also reports both backbone-bias treatments (tuned
+    vs. frozen).
     """
     if phase not in ("train", "infer"):
         raise ValueError(f"phase must be train|infer, got {phase!r}")
@@ -455,13 +461,15 @@ def sweep(kind: str, dataset: Dataset, *, model: ModelConfig = ModelConfig(),
         vs. plain full training at the widths in ``d_full_grid``.
 
     Rows are sorted by fingerprint; every row regenerates bitwise from
-    its fingerprinted config.
+    its fingerprinted config. Each finished run prints one progress line
+    (k/N, elapsed time, ETA) to stderr.
     """
     tasks = sweep_plan(kind, model=model, train=train, bottleneck=bottleneck,
                        d_grid=d_grid, b_grid=b_grid, frac_grid=frac_grid,
                        d_full_grid=d_full_grid, modes=modes, init=init,
                        seeds=seeds)
     train_ds, _, test_ds = split(dataset, split_spec, seed=0)
+    start = time.perf_counter()
 
     # stage pre-trained backbones, shared across modes per (d, seed)
     staged: dict[tuple[int, int], tuple[dict, dict]] = {}
@@ -483,17 +491,27 @@ def sweep(kind: str, dataset: Dataset, *, model: ModelConfig = ModelConfig(),
         state = staged.get((task["d"], task["seed"]))
         return task, tds, test_ds, state
 
+    rows: list[dict] = []
+    runs_start = time.perf_counter()
+
+    def finished(row: dict) -> None:
+        rows.append(row)
+        now, k = time.perf_counter(), len(rows)
+        eta = (now - runs_start) / k * (len(tasks) - k)
+        print(f"sweep {k}/{len(tasks)} done (mode={row['mode']} d={row['d']} "
+              f"b={row['b']} seed={row['seed']}): elapsed {now - start:.1f}s, "
+              f"ETA {eta:.1f}s", file=sys.stderr, flush=True)
+
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_pool_entry, [job_args(t) for t in tasks]))
+            futures = [pool.submit(_run_sweep_task, *job_args(t)) for t in tasks]
+            for future in concurrent.futures.as_completed(futures):
+                finished(future.result())
     else:
-        rows = [_run_sweep_task(*job_args(t)) for t in tasks]
+        for t in tasks:
+            finished(_run_sweep_task(*job_args(t)))
     rows.sort(key=lambda r: r["fingerprint"])
     return rows
-
-
-def _pool_entry(args):
-    return _run_sweep_task(*args)
 
 
 def sweep_csv(rows: Iterable[dict]) -> str:

@@ -28,7 +28,7 @@ from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
 from .graphs import (DatasetFormatError, SplitSpec, Vocab,
                      generate_synthetic, load_jsonl, save_jsonl, split)
 from .model import init_params
-from .peft import apply_peft, ModeError
+from .peft import ModeError, apply_peft, canonical_peft
 from .registry import (CheckpointFormatError, file_hash, load_checkpoint,
                        save_checkpoint)
 from .training import (MetricUndefinedError, TrainingDivergedError,
@@ -212,7 +212,10 @@ def _fmt(v) -> str:
 def canonical_echo(model: ModelConfig, peft: PeftConfig, train: TrainConfig,
                    extra: Optional[dict] = None) -> dict:
     """Fully resolved flat config: every known key in canonical string
-    form, so the fingerprint ignores which subset was passed explicitly."""
+    form, so the fingerprint ignores which subset was passed explicitly.
+    Tuning fields the mode does not read echo their defaults, so they do
+    not fork the fingerprint either."""
+    peft = canonical_peft(peft)
     echo = {
         "emb_dim": _fmt(model.emb_dim), "mlp_hidden": _fmt(model.mlp_hidden),
         "num_layers": _fmt(model.num_layers), "num_tasks": _fmt(model.num_tasks),

@@ -138,6 +138,15 @@ class GraphBatch:
         counts = np.bincount(flat, minlength=self.num_graphs * n_max * n_max)
         return counts.astype(np.float64).reshape(self.num_graphs, n_max, n_max)
 
+    @cached_property
+    def neighbour_codes(self) -> tuple[np.ndarray, ...]:
+        """Per node attribute k, the (n, V_k) count of codes among each
+        node's in-neighbours, self-loop included; edges hidden by
+        ``drop_edges`` are not counted."""
+        return tuple(_code_counts(self.edge_dst, self.node_attrs[self.edge_src, k],
+                                  self.num_nodes, c.shape[1])
+                     for k, c in enumerate(self.node_codes))
+
 
 # ---------------------------------------------------------------------------
 # validation

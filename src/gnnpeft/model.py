@@ -18,6 +18,16 @@ computed once per forward pass as n×d and no per-edge tensor is built.
 Node embeddings are the same counts-times-table product with one-hot
 counts.
 
+Layer 0 reads only embeddings, so its input and message sum are exact
+low-rank products: x0 = Z_x·S and m0 = Z_m·S, where S stacks the node
+and edge tables (and any prompt rows) into r rows and Z_m counts each
+node's neighbour node codes (itself included) and incoming edge codes.
+Everything that reads them is linear (the first MLP linear, its low-rank
+factors and rescaling, the adapter down-projections), so layer 0 computes
+Z·(S·W) and never forms x0, m0 or m0·W at full width. The factored form
+is used whenever it is smaller, r·(n+d) < n·d; otherwise layer 0 runs
+the dense path above, as every later layer does.
+
 Tuning-mode insertions (adapters, low-rank factors, rescaling vectors,
 prompts) are looked up by registry name, so a registry without them runs
 the plain backbone.
@@ -35,9 +45,10 @@ from .graphs import GraphBatch
 from .peft import ADAPTER_SLOTS, AdapterModule, adapter_forward
 from .registry import ParamRegistry
 from .rng import RngStream
-from .tensor import (BatchNormState, Tensor, add, batchnorm1d,
-                     block_diag_matmul, dropout, gather_rows, matmul,
-                     mul_elementwise, relu, scatter_sum, segment_mean_pool)
+from .tensor import (BatchNormState, LowRank, Tensor, add, batchnorm1d,
+                     block_diag_matmul, concat_rows, dropout, gather_rows,
+                     matmul, mul_elementwise, relu, scatter_sum,
+                     segment_mean_pool)
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> ParamRegistry:
@@ -116,6 +127,40 @@ def message_pass(x: Tensor, batch: GraphBatch, edge_term: Tensor) -> Tensor:
     return add(neighbours, edge_term)
 
 
+def layer0_low_rank(batch: GraphBatch, reg: ParamRegistry,
+                    d: int) -> Optional[tuple[LowRank, LowRank]]:
+    """Layer 0's input and message sum as (Z_x·S, Z_m·S) over one stack S
+    of the embedding tables, or None when r·(n+d) ≥ n·d.
+
+    S's rows are the node tables, the feature prompt (x0 gets a column of
+    ones, m0 each node's in-degree with self-loop), the edge tables (x0
+    gets zeros, m0 the incoming edge-code counts) and layer 0's node
+    prompt (x0 gets zeros, m0 ones).
+    """
+    n = batch.num_nodes
+    feat, node = "prompt.feature" in reg, "layer.0.prompt" in reg
+    r = sum(c.shape[1] for c in batch.node_codes + batch.edge_codes) + feat + node
+    if r * (n + d) >= n * d:
+        return None
+    rows = [reg.get(f"encoder.node_emb.{k}.weight") for k in range(len(batch.node_codes))]
+    zx, zm = list(batch.node_codes), list(batch.neighbour_codes)
+    ones, zeros = np.ones((n, 1)), np.zeros((n, 1))
+    if feat:
+        rows.append(reg.get("prompt.feature"))
+        zx.append(ones)
+        zm.append(zm[0].sum(axis=1, keepdims=True))
+    for k, c in enumerate(batch.edge_codes):
+        rows.append(reg.get(f"encoder.edge_emb.{k}.weight"))
+        zx.append(np.zeros_like(c))
+        zm.append(c)
+    if node:
+        rows.append(reg.get("layer.0.prompt"))
+        zx.append(zeros)
+        zm.append(ones)
+    s = concat_rows(rows)
+    return LowRank(np.hstack(zx), s), LowRank(np.hstack(zm), s)
+
+
 def _mlp_linear(x: Tensor, reg: ParamRegistry, name: str) -> Tensor:
     """One MLP linear, honoring installed input-rescaling or low-rank factors."""
     if f"{name}.ia3" in reg:
@@ -167,14 +212,20 @@ def gin_node_states(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,
     """Run all layers and return final per-node states (n×d)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train|eval, got {mode!r}")
-    x = encode_nodes(batch, reg)
-    e = edge_embeddings(batch, reg)
+    x, m = (layer0_low_rank(batch, reg, config.emb_dim)
+            or (encode_nodes(batch, reg), None))
+    e = None
     for l in range(config.num_layers):
-        m = message_pass(x, batch, e)
-        if f"layer.{l}.prompt" in reg:
-            m = add(m, reg.get(f"layer.{l}.prompt"))
+        if m is None:
+            if e is None:
+                e = edge_embeddings(batch, reg)
+            m = message_pass(x, batch, e)
+            if f"layer.{l}.prompt" in reg:
+                m = add(m, reg.get(f"layer.{l}.prompt"))
+        if l == config.num_layers - 1:
+            e = None  # no later layer reads it, so an eval forward frees it here
         h = layer_forward(x, m, reg, l, peft, mode)
-        del m  # an eval forward frees each layer's activations as it goes
+        m = None  # an eval forward frees each layer's activations as it goes
         if l < config.num_layers - 1:
             x = relu(h)
             del h

@@ -2,12 +2,15 @@
 
 The op set is exactly what a small message-passing network needs: matmul,
 a block-diagonal matmul over a padded stack of per-graph matrices, segment
-scatter/gather, batch normalization, and an elementwise suite including a
-masked binary-cross-entropy loss. Segment sums sort rows by segment id
-(sorted ids skip the sort) and sum each contiguous run. Forward values
-are numpy arrays; gradients are computed by walking a :class:`Tape` of
-recorded operations in reverse. ``matmul`` takes an optional bias row,
-added into the product's buffer, so an affine layer is one recorded op.
+scatter/gather, row concatenation, batch normalization, and an elementwise
+suite including a masked binary-cross-entropy loss. Segment sums sort
+rows by segment id (sorted ids skip the sort) and sum each contiguous
+run. Forward values are numpy arrays; gradients are computed by walking
+a :class:`Tape` of recorded operations in reverse. ``matmul`` takes an
+optional bias row, added into the product's buffer, so an affine layer
+is one recorded op. A :class:`LowRank` left operand Z·S (a constant
+count matrix times a tensor) stays factored through ``matmul`` and
+``mul_elementwise``, so a linear map of it costs Z·(S·W).
 
 Conventions:
   * everything is float64 (checkpoints downcast to float32 on disk);
@@ -195,6 +198,33 @@ def _accumulate(t: Tensor, g: np.ndarray, rows: Optional[np.ndarray] = None) -> 
         t.grad = t.grad + g
 
 
+class LowRank:
+    """An (n×d) operand kept factored as Z·S: a constant (n×r) count matrix
+    Z times an (r×d) tensor S, for r much smaller than n and d.
+
+    ``matmul`` of it computes Z·(S·W), a row-vector or scalar
+    ``mul_elementwise`` scales S, and ``add`` takes its dense product.
+    """
+
+    __slots__ = ("counts", "factor")
+
+    def __init__(self, counts: np.ndarray, factor: Tensor):
+        self.counts = np.asarray(counts, dtype=np.float64)
+        _check_2d(factor, "low-rank factor")
+        if self.counts.ndim != 2 or self.counts.shape[1] != factor.data.shape[0]:
+            raise ShapeMismatchError(
+                f"count matrix {self.counts.shape} does not match factor "
+                f"{factor.data.shape}")
+        self.factor = factor
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.counts.shape[0], self.factor.data.shape[1]
+
+    def dense(self) -> Tensor:
+        return matmul(Tensor(self.counts), self.factor)
+
+
 def _check_2d(t: Tensor, name: str) -> None:
     if t.data.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {t.data.shape}")
@@ -204,9 +234,12 @@ def _check_2d(t: Tensor, name: str) -> None:
 # linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def matmul(a: "Tensor | LowRank", b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product of a (m×k) and b (k×n), plus an optional (n,) bias
-    row added in place into the product's buffer."""
+    row added in place into the product's buffer. A :class:`LowRank` a = Z·S
+    gives Z·(S·b), so no m×k by k×n product is formed."""
+    if isinstance(a, LowRank):
+        return matmul(Tensor(a.counts), matmul(a.factor, b), bias)
     _check_2d(a, "matmul lhs")
     _check_2d(b, "matmul rhs")
     if a.data.shape[1] != b.data.shape[0]:
@@ -275,6 +308,27 @@ def block_diag_matmul(blocks: np.ndarray, x: Tensor, block_ids: np.ndarray,
         return backward
 
     return _record((x,), out_data, make_backward)
+
+
+def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+    """Stack (k_i×d) tensors, and (d,) tensors as single rows, into one
+    (Σk_i×d) tensor; backward splits the gradient back into the parts."""
+    rows = [p.data.reshape(1, -1) if p.data.ndim == 1 else p.data for p in parts]
+    for r in rows:
+        if r.ndim != 2 or r.shape[1] != rows[0].shape[1]:
+            raise ShapeMismatchError(
+                f"concat_rows parts differ in width: {[p.data.shape for p in parts]}")
+    bounds = np.cumsum([0] + [r.shape[0] for r in rows]).tolist()
+    out_data = np.concatenate(rows, axis=0)
+
+    def make_backward(out):
+        def backward(g):
+            for p, s, e in zip(parts, bounds[:-1], bounds[1:]):
+                if p.requires_grad:
+                    _accumulate(p, g[s:e].reshape(p.data.shape))
+        return backward
+
+    return _record(parts, out_data, make_backward)
 
 
 def _sum_rows_by_id(values: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +430,9 @@ def segment_mean_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> 
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; the only broadcast allowed is (B×d) + (d,) bias."""
+    """Elementwise sum; the only broadcast allowed is (B×d) + (d,) bias.
+    A :class:`LowRank` operand enters as its dense product."""
+    a, b = (t.dense() if isinstance(t, LowRank) else t for t in (a, b))
     if a.data.shape == b.data.shape:
         bias_mode = False
     elif a.data.ndim == 2 and b.data.shape == (a.data.shape[1],):
@@ -414,7 +470,13 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
 def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product. b may also be a single-element tensor (scalar
     scaling, differentiable in both factors) or a (d,) row vector applied
-    to a (B×d) input."""
+    to a (B×d) input. A :class:`LowRank` a = Z·S takes only those two and
+    stays factored as Z·(S∘b)."""
+    if isinstance(a, LowRank):
+        if b.data.size != 1 and b.data.shape != (a.shape[1],):
+            raise ShapeMismatchError(
+                f"a low-rank operand scales by a scalar or a row, not {b.data.shape}")
+        return LowRank(a.counts, mul_elementwise(a.factor, b))
     if a.data.shape == b.data.shape:
         mode = "same"
     elif b.data.size == 1:
@@ -434,7 +496,7 @@ def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
                 if mode == "same":
                     _accumulate(b, g * a.data)
                 elif mode == "scalar":
-                    _accumulate(b, np.sum(g * a.data).reshape(b.data.shape))
+                    _accumulate(b, np.asarray(np.vdot(g, a.data)).reshape(b.data.shape))
                 else:
                     _accumulate(b, (g * a.data).sum(axis=0))
         return backward

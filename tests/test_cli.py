@@ -3,13 +3,15 @@ guards, and end-to-end command workflows (in-process via main(argv))."""
 
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
-from gnnpeft.cli import (build_run_configs, canonical_echo, main,
+from gnnpeft.cli import (_fmt, build_run_configs, canonical_echo, main,
                          parse_config_file)
+from gnnpeft.config import config_fingerprint
 from gnnpeft.config import PEFT_MODES, ModelConfig, PeftConfig, TrainConfig
 from gnnpeft.registry import ParamRegistry, load_checkpoint, save_checkpoint
 
@@ -338,6 +340,90 @@ class TestConfigFile:
         assert canonical_echo(model, peft, train) == run_keys
 
 
+def _oracle_canonical_echo(model, peft, train):
+    """The echo as written before unread tuning fields were reset, kept
+    verbatim (renamed, ``extra`` dropped)."""
+    return {
+        "emb_dim": _fmt(model.emb_dim), "mlp_hidden": _fmt(model.mlp_hidden),
+        "num_layers": _fmt(model.num_layers), "num_tasks": _fmt(model.num_tasks),
+        "dropout": _fmt(model.dropout), "node_vocab": _fmt(model.vocab.node),
+        "edge_vocab": _fmt(model.vocab.edge),
+        "mode": peft.mode, "bottleneck": _fmt(peft.bottleneck),
+        "lora_rank": _fmt(peft.lora_rank),
+        "scaling_init": _fmt(peft.scaling_init),
+        "tune_backbone_bias": _fmt(peft.tune_backbone_bias),
+        "tune_backbone_bn": _fmt(peft.tune_backbone_bn), "k": _fmt(peft.k),
+        "epochs": _fmt(train.epochs), "batch_size": _fmt(train.batch_size),
+        "lr": _fmt(train.lr), "weight_decay": _fmt(train.weight_decay),
+        "seed": _fmt(train.seed),
+    }
+
+
+class TestOneFingerprintPerExperiment:
+    @pytest.mark.parametrize("flags", [["--lora-rank", "4"], ["--bottleneck", "7"],
+                                       ["--k", "2"], ["--scaling-init", "0.5"],
+                                       ["--lora-rank", "4", "--k", "2"]])
+    def test_unread_fields_share_the_run_directory(self, dataset, capsys,
+                                                   tmp_path, flags):
+        base = ["train", "--mode", "full", "--data", str(dataset)] \
+            + SMALL_MODEL + FAST_TRAIN
+        code, out, _ = run(capsys, base + ["--out", str(tmp_path / "a")])
+        assert code == 0
+        plain = grep_value(out, "fingerprint")
+        code, out, _ = run(capsys, base + flags + ["--out", str(tmp_path / "b")])
+        assert code == 0
+        assert grep_value(out, "fingerprint") == plain
+        assert (parse_config_file(tmp_path / "b" / plain / "config.txt")
+                == parse_config_file(tmp_path / "a" / plain / "config.txt"))
+        # into the same root, the second request is the same run
+        assert main(base + flags + ["--out", str(tmp_path / "a")]) == 1
+
+    @pytest.mark.parametrize("mode", PEFT_MODES)
+    def test_default_runs_keep_their_fingerprints(self, mode):
+        model, train = ModelConfig(emb_dim=8, num_layers=2), TrainConfig()
+        read = {"adaptergnn": dict(bottleneck=3, scaling_init=0.5,
+                                   tune_backbone_bias=False,
+                                   tune_backbone_bn=True),
+                "adapter_seq": dict(bottleneck=3), "adapter_par": dict(bottleneck=3),
+                "lora": dict(lora_rank=4), "partial_k": dict(k=2)}
+        # defaults, and every field the mode reads set away from its default
+        for peft in (PeftConfig(mode=mode), PeftConfig(mode=mode, **read.get(mode, {}))):
+            old = _oracle_canonical_echo(model, peft, train)
+            assert canonical_echo(model, peft, train) == old
+            assert (config_fingerprint(canonical_echo(model, peft, train))
+                    == config_fingerprint(old))
+
+    def test_old_echoes_with_unread_fields_still_reload(self, dataset, capsys,
+                                                        tmp_path):
+        runs = str(tmp_path / "runs")
+        code, out, _ = run(capsys, ["train", "--mode", "full", "--data",
+                                    str(dataset), "--out", runs]
+                           + SMALL_MODEL + FAST_TRAIN)
+        assert code == 0
+        test_auc = float(grep_value(out, "final_test_auc"))
+        fp = grep_value(out, "fingerprint")
+        meta, params, buffers = load_checkpoint(f"{runs}/{fp}/task.ckpt")
+        # an echo written before the reset carries the user's unread values
+        old = {**meta["config"], "lora_rank": "4", "bottleneck": "7", "k": "2",
+               "scaling_init": "0.5"}
+        model, peft, _ = build_run_configs(
+            {k: v for k, v in old.items() if k in canonical_echo(
+                ModelConfig(), PeftConfig(), TrainConfig())})
+        assert peft == PeftConfig(mode="full", bottleneck=7, lora_rank=4,
+                                  scaling_init=0.5, k=2)
+        reg = ParamRegistry()
+        for name, arr in params.items():
+            reg.add(name, arr, True, "backbone")
+        for name, arr in buffers.items():
+            reg.add_buffer(name, arr)
+        path = tmp_path / "old_echo.ckpt"
+        save_checkpoint(path, reg, {**meta, "config": old})
+        code, out, _ = run(capsys, ["eval", "--data", str(dataset), "--ckpt",
+                                    str(path), "--part", "test"])
+        assert code == 0
+        assert float(grep_value(out, "auc")) == pytest.approx(test_auc, abs=1e-9)
+
+
 SWEEP_COMMON = ["mode=full", "seed=0", "layers=1", "epochs=2", "batch_size=8",
                 "lr=0.01", "dropout=0.0", "node_vocab=2,2", "edge_vocab=2,2"]
 
@@ -361,6 +447,24 @@ class TestSweepCommand:
         code, parallel, _ = run(capsys, argv + ["--jobs", "2"])
         assert code == 0
         assert serial == parallel
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_progress_line_per_run_on_stderr(self, dataset, capsys, tmp_path,
+                                             jobs):
+        out_root = tmp_path / "sweeps"
+        argv = ["sweep", "--kind", "model_size", "--data", str(dataset),
+                "--out", str(out_root), "--jobs", jobs, "emb=6,8"] + SWEEP_COMMON
+        code, out, err = run(capsys, argv)
+        assert code == 0 and out == ""
+        progress = [l for l in err.splitlines() if l.startswith("sweep ")]
+        assert len(progress) == 2, err
+        for k, line in enumerate(progress, 1):
+            assert re.fullmatch(
+                rf"sweep {k}/2 done \(mode=full d=[68] b=15 seed=0\): "
+                r"elapsed \d+\.\d+s, ETA \d+\.\d+s", line), line
+        (run_dir,) = out_root.iterdir()
+        for name in ("sweep.csv", "config.txt"):
+            assert "elapsed" not in (run_dir / name).read_text()
 
     def test_out_dir_gets_csv_and_echo(self, dataset, capsys, tmp_path):
         out_root = tmp_path / "sweeps"
