@@ -315,7 +315,10 @@ def estimate_flops(model: ModelConfig, peft: PeftConfig, batch_size: int,
     ``avg_edges``. Layer 0 is still charged as dense n×d work, although
     the forward pass runs its linear maps on code counts as Z·(S·W) with
     r ≪ d rows in S, so the estimate overstates layer 0's arithmetic and
-    its values do not depend on which path runs. For the dual-adapter
+    its values do not depend on which path runs. Likewise the "infer"
+    phase charges the last layer's tail (mlp.1, BN, adapter
+    up-projections) on all n node rows, although evaluation pools before
+    it and runs it on one row per graph. For the dual-adapter
     mode the estimate also reports both backbone-bias treatments (tuned
     vs. frozen).
     """

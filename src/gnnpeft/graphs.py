@@ -416,6 +416,8 @@ def batch(graphs: Sequence[Graph], vocab: Vocab,
     offset = 0
     for gi, g in enumerate(graphs):
         n = g.num_nodes
+        if n == 0:  # the readout's mean pool needs a row per graph
+            raise ValueError(f"graph {gi} has no nodes")
         node_blocks.append(g.node_attrs)
         id_blocks.append(np.full(n, gi, dtype=np.int64))
         pos_blocks.append(np.arange(n, dtype=np.int64))

@@ -28,6 +28,16 @@ Z·(S·W) and never forms x0, m0 or m0·W at full width. The factored form
 is used whenever it is smaller, r·(n+d) < n·d; otherwise layer 0 runs
 the dense path above, as every later layer does.
 
+At evaluation the readout pools inside the last layer. Everything after
+each branch's last ReLU is affine per row (mlp.1 with its low-rank and
+rescaling terms, eval BN with running statistics, the adapter
+up-projections, the scalings and the sum), and every mean-pool row sums
+to 1 (graphs are never empty), so pool(R·W + b) = pool(R)·W + b. The
+backbone pools after ReLU(mlp.0), an adapter after its down-projection's
+ReLU and an identity adapter at its input, so that tail runs on one row
+per graph. Train mode pools last: its BN needs batch statistics over
+node rows.
+
 Tuning-mode insertions (adapters, low-rank factors, rescaling vectors,
 prompts) are looked up by registry name, so a registry without them runs
 the plain backbone.
@@ -35,8 +45,8 @@ the plain backbone.
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Optional
+from functools import partial, reduce
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -172,46 +182,68 @@ def _mlp_linear(x: Tensor, reg: ParamRegistry, name: str) -> Tensor:
     return out
 
 
-def backbone_layer(m: Tensor, reg: ParamRegistry, l: int, mode: str) -> Tensor:
-    """BN(MLP(m)) for layer l; m is the message-passing output."""
+def backbone_layer(m: Tensor, reg: ParamRegistry, l: int, mode: str,
+                   readout: Optional[Callable] = None) -> Tensor:
+    """BN(MLP(m)) for layer l; m is the message-passing output. An
+    eval-mode ``readout`` pools the rows right after the MLP's ReLU."""
     h = relu(_mlp_linear(m, reg, f"layer.{l}.mlp.0"))
+    if readout is not None:
+        h = readout(h)
     h = _mlp_linear(h, reg, f"layer.{l}.mlp.1")
     return batchnorm1d(h, _bn_state(reg, f"layer.{l}.bn"), mode)
 
 
-def _adapter_out(x: Tensor, reg: ParamRegistry, prefix: str,
-                 bottleneck: int, mode: str) -> Tensor:
-    if bottleneck == 0:
-        return x  # width-0 bottleneck degenerates to the identity mapping
-    return adapter_forward(x, AdapterModule.from_registry(reg, prefix), mode)
+def _adapter_out(x: Tensor, reg: ParamRegistry, prefix: str, bottleneck: int,
+                 mode: str, readout: Optional[Callable] = None) -> Tensor:
+    if bottleneck == 0:  # width-0 bottleneck degenerates to the identity mapping
+        return x if readout is None else readout(x)
+    return adapter_forward(x, AdapterModule.from_registry(reg, prefix), mode,
+                           readout)
 
 
 def layer_forward(x: Tensor, m: Tensor, reg: ParamRegistry, l: int,
-                  peft: PeftConfig, mode: str) -> Tensor:
+                  peft: PeftConfig, mode: str,
+                  readout: Optional[Callable] = None) -> Tensor:
     """Layer l's output, h = BN(MLP(m)) + Σ s·A(input) over the mode's
     ``ADAPTER_SLOTS``: x is the layer input, m its message-passing output,
     each slot's adapter A reads x, m or BN(MLP(m)), and s is the slot's
     learnable scalar scaling (1 without one). For the dual-adapter mode,
     h = BN(MLP(m)) + s1·A1(x) + s2·A2(m).
+
+    With an eval-mode ``readout`` (a mean pool, whose rows sum to 1) the
+    layer returns readout(h). Each branch pools at its last ReLU, since
+    all that follows it is affine per row (a linear, eval BN, scalings,
+    sums): the backbone after ReLU(mlp.0), an adapter after its
+    down-projection's ReLU, an identity adapter at its input. An adapter
+    that reads h gets h per node, and h is pooled after it.
     """
-    h = backbone_layer(m, reg, l, mode)
-    slots = ADAPTER_SLOTS.get(peft.mode)
-    if slots is None:
+    slots = ADAPTER_SLOTS.get(peft.mode, ())
+    reads_h = any(src == "h" for _, src, _ in slots)
+    h = backbone_layer(m, reg, l, mode, None if reads_h else readout)
+    if not slots:
         return h
     inputs = {"x": x, "m": m, "h": h}
     outs = [_adapter_out(inputs[src], reg, f"layer.{l}.{slot}",
-                         peft.bottleneck, mode) for slot, src, _ in slots]
+                         peft.bottleneck, mode, readout) for slot, src, _ in slots]
     outs = [a if scale is None else mul_elementwise(a, reg.get(f"layer.{l}.{scale}"))
             for a, (_, _, scale) in zip(outs, slots)]
+    if reads_h and readout is not None:
+        h = readout(h)
     return add(h, reduce(add, outs))
 
 
 def gin_node_states(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,
                     peft: PeftConfig, mode: str,
-                    rng: Optional[RngStream] = None) -> Tensor:
-    """Run all layers and return final per-node states (n×d)."""
+                    rng: Optional[RngStream] = None,
+                    readout: Optional[Callable] = None) -> Tensor:
+    """Run all layers and return final per-node states (n×d), or with an
+    eval-mode ``readout`` the last layer's pooled states (see
+    ``layer_forward``)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train|eval, got {mode!r}")
+    if readout is not None and mode != "eval":
+        raise ValueError("a readout inside the last layer needs eval mode: "
+                         "train-mode BN normalizes over node rows")
     x, m = (layer0_low_rank(batch, reg, config.emb_dim)
             or (encode_nodes(batch, reg), None))
     e = None
@@ -222,11 +254,12 @@ def gin_node_states(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,
             m = message_pass(x, batch, e)
             if f"layer.{l}.prompt" in reg:
                 m = add(m, reg.get(f"layer.{l}.prompt"))
-        if l == config.num_layers - 1:
+        last = l == config.num_layers - 1
+        if last:
             e = None  # no later layer reads it, so an eval forward frees it here
-        h = layer_forward(x, m, reg, l, peft, mode)
+        h = layer_forward(x, m, reg, l, peft, mode, readout if last else None)
         m = None  # an eval forward frees each layer's activations as it goes
-        if l < config.num_layers - 1:
+        if not last:
             x = relu(h)
             del h
             stream = rng.child(f"layer{l}.dropout") if rng is not None else None
@@ -239,9 +272,14 @@ def gin_node_states(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,
 def gin_forward(batch: GraphBatch, reg: ParamRegistry, config: ModelConfig,
                 peft: PeftConfig, mode: str,
                 rng: Optional[RngStream] = None) -> Tensor:
-    """Graph embeddings (G×d): mean-pool readout over final node states."""
-    x = gin_node_states(batch, reg, config, peft, mode, rng)
-    return segment_mean_pool(x, batch.graph_ids, batch.num_graphs)
+    """Graph embeddings (G×d): mean-pool readout over final node states.
+    In eval mode the last layer pools at each branch's last ReLU, so its
+    affine tail runs on one row per graph."""
+    readout = partial(segment_mean_pool, segment_ids=batch.graph_ids,
+                      num_segments=batch.num_graphs)
+    if mode == "eval":
+        return gin_node_states(batch, reg, config, peft, mode, rng, readout)
+    return readout(gin_node_states(batch, reg, config, peft, mode, rng))
 
 
 def classify(embeddings: Tensor, reg: ParamRegistry) -> Tensor:

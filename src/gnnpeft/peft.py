@@ -38,6 +38,7 @@ The classifier is trainable in every mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,9 +74,14 @@ class AdapterModule:
                               reg.buffer(f"{prefix}.bn.running_var")))
 
 
-def adapter_forward(x: Tensor, module: AdapterModule, mode: str) -> Tensor:
-    """A(x) = BN(W_up(ReLU(W_down(x)))), the bottleneck transform."""
+def adapter_forward(x: Tensor, module: AdapterModule, mode: str,
+                    readout: Optional[Callable] = None) -> Tensor:
+    """A(x) = BN(W_up(ReLU(W_down(x)))), the bottleneck transform. An
+    eval-mode ``readout`` pools the rows right after the ReLU, since the
+    up-projection and eval BN after it are affine per row."""
     h = relu(matmul(x, module.down_w, module.down_b))
+    if readout is not None:
+        h = readout(h)
     h = matmul(h, module.up_w, module.up_b)
     return batchnorm1d(h, module.bn, mode)
 

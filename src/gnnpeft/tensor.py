@@ -9,8 +9,9 @@ run. Forward values are numpy arrays; gradients are computed by walking
 a :class:`Tape` of recorded operations in reverse. ``matmul`` takes an
 optional bias row, added into the product's buffer, so an affine layer
 is one recorded op. A :class:`LowRank` left operand Z·S (a constant
-count matrix times a tensor) stays factored through ``matmul`` and
-``mul_elementwise``, so a linear map of it costs Z·(S·W).
+count matrix times a tensor) stays factored through ``matmul``,
+``mul_elementwise`` and ``segment_mean_pool``, so a linear map of it
+costs Z·(S·W).
 
 Conventions:
   * everything is float64 (checkpoints downcast to float32 on disk);
@@ -203,7 +204,8 @@ class LowRank:
     Z times an (r×d) tensor S, for r much smaller than n and d.
 
     ``matmul`` of it computes Z·(S·W), a row-vector or scalar
-    ``mul_elementwise`` scales S, and ``add`` takes its dense product.
+    ``mul_elementwise`` scales S, ``segment_mean_pool`` pools Z, and
+    ``add`` takes its dense product.
     """
 
     __slots__ = ("counts", "factor")
@@ -234,10 +236,25 @@ def _check_2d(t: Tensor, name: str) -> None:
 # linear algebra
 # ---------------------------------------------------------------------------
 
+def _matmul_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y, with a 1-row x multiplied as row 0 of a 2-row product.
+
+    numpy runs a 1-row product as gemv, which rounds differently from the
+    gemm that computes every row of a taller x; duplicating the row keeps
+    it on gemm, so a row's product does not depend on how many rows came
+    with it.
+    """
+    if x.shape[0] == 1:
+        return (np.concatenate((x, x)) @ y)[:1]
+    return x @ y
+
+
 def matmul(a: "Tensor | LowRank", b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Matrix product of a (m×k) and b (k×n), plus an optional (n,) bias
     row added in place into the product's buffer. A :class:`LowRank` a = Z·S
-    gives Z·(S·b), so no m×k by k×n product is formed."""
+    gives Z·(S·b), so no m×k by k×n product is formed. A 1-row a, in the
+    forward product and in its input gradient, is multiplied as the first
+    row of a 2-row product, so it rounds as it would inside a taller a."""
     if isinstance(a, LowRank):
         return matmul(Tensor(a.counts), matmul(a.factor, b), bias)
     _check_2d(a, "matmul lhs")
@@ -245,7 +262,7 @@ def matmul(a: "Tensor | LowRank", b: Tensor, bias: Optional[Tensor] = None) -> T
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatchError(
             f"matmul inner extents differ: {a.data.shape} vs {b.data.shape}")
-    out_data = a.data @ b.data
+    out_data = _matmul_rows(a.data, b.data)
     if bias is not None:
         if bias.data.shape != (b.data.shape[1],):
             raise ShapeMismatchError(
@@ -258,7 +275,7 @@ def matmul(a: "Tensor | LowRank", b: Tensor, bias: Optional[Tensor] = None) -> T
             if bias is not None and bias.requires_grad:
                 _accumulate(bias, g.sum(axis=0))
             if a.requires_grad:
-                _accumulate(a, g @ b.data.T)
+                _accumulate(a, _matmul_rows(g, b.data.T))
             if b.requires_grad:
                 _accumulate(b, a.data.T @ g)
         return backward
@@ -397,9 +414,14 @@ def scatter_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
     return _record((values,), out_data, make_backward)
 
 
-def segment_mean_pool(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_mean_pool(x: "Tensor | LowRank", segment_ids: np.ndarray,
+                      num_segments: int) -> "Tensor | LowRank":
     """Per-segment mean of rows; empty segments pool to zero rows. Sorted
-    ids (a batch's ``graph_ids``) make every segment one contiguous sum."""
+    ids (a batch's ``graph_ids``) make every segment one contiguous sum.
+    A :class:`LowRank` x = Z·S pools as P·Z times the same S."""
+    if isinstance(x, LowRank):
+        pooled = segment_mean_pool(Tensor(x.counts), segment_ids, num_segments)
+        return LowRank(pooled.data, x.factor)
     _check_2d(x, "segment_mean_pool input")
     ids = np.asarray(segment_ids, dtype=np.int64)
     if ids.shape != (x.data.shape[0],):

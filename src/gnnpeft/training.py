@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -179,14 +181,33 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray,
 # run records
 # ---------------------------------------------------------------------------
 
+THREAD_ENV_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                   "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def environment_stamp() -> dict:
+    """numpy's version, the BLAS it was built against, and the thread-count
+    environment variables (None where unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas = {"name": None, "version": None}
+    return {"numpy": np.__version__, "blas": blas,
+            "threads": {v: os.environ.get(v) for v in THREAD_ENV_VARS}}
+
+
 @dataclass
 class RunRecord:
-    """Per-epoch metrics plus the config fingerprint that reproduces them."""
+    """Per-epoch metrics plus the config fingerprint that reproduces them,
+    and per-epoch wall times, which it does not reproduce."""
     train_loss: list[float] = field(default_factory=list)
     train_auc: list[float] = field(default_factory=list)
     test_auc: list[float] = field(default_factory=list)
     fingerprint: str = ""
     config: dict = field(default_factory=dict)
+    train_s: list[float] = field(default_factory=list, compare=False)
+    eval_s: list[float] = field(default_factory=list, compare=False)
 
     @property
     def final_train_err(self) -> float:
@@ -227,12 +248,22 @@ class RunRecord:
                         f"{self.train_auc[e] - self.test_auc[e]:.10g}"])
         return buf.getvalue()
 
+    def timings(self) -> dict:
+        """Per-epoch train and evaluation seconds plus the environment."""
+        return {"epochs": [{"epoch": e + 1, "train_s": t, "eval_s": v}
+                           for e, (t, v) in enumerate(zip(self.train_s, self.eval_s))],
+                "environment": environment_stamp()}
+
     def write(self, directory) -> None:
+        """record.csv and summary.json, which the fingerprint reproduces
+        byte for byte, and timings.json, which it does not."""
         import pathlib
         d = pathlib.Path(directory)
         (d / "record.csv").write_text(self.to_csv())
         (d / "summary.json").write_text(
             json.dumps(self.summary(), indent=2, sort_keys=True) + "\n")
+        (d / "timings.json").write_text(
+            json.dumps(self.timings(), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +343,17 @@ def train_supervised(train_ds: Dataset, test_ds: Dataset, reg: ParamRegistry,
         return loss, int(b.label_mask.sum())
 
     record = RunRecord(fingerprint=fingerprint, config=config_echo or {})
+    start = time.perf_counter()
     for epoch, loss in _fit(reg, cfg, "train", train_ds.graphs, batch_loss):
+        trained = time.perf_counter()
         if loss is None:
             raise UnlabelledEpochError(epoch)
         record.train_loss.append(loss)
         record.train_auc.append(evaluate_auc(train_ds, reg, model, peft))
         record.test_auc.append(evaluate_auc(test_ds, reg, model, peft))
+        record.train_s.append(trained - start)
+        start = time.perf_counter()
+        record.eval_s.append(start - trained)
     return record
 
 

@@ -16,6 +16,7 @@ import time
 
 import mpmath
 import numpy as np
+import pytest
 
 from gnnpeft import tensor as T
 from gnnpeft.analysis import (compute_gaps, count_params, estimate_flops,
@@ -475,6 +476,7 @@ TREND_SPLIT = SplitSpec(fractions=(0.7, 0.1, 0.2), mode="structure")
 #    an interior minimum (median over 5 seeds)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_c08_capacity_u_shape(capsys):
     def body():
         widths = (16, 32, 64, 128, 256, 512)
@@ -502,6 +504,7 @@ def test_c08_capacity_u_shape(capsys):
 #    both fine-tuned from the same edge-prediction backbones)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_c09_adapter_gap_advantage(capsys):
     def body():
         rows = sweep("model_size", _trend_dataset(),

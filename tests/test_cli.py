@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gnnpeft.cli import (_fmt, build_run_configs, canonical_echo, main,
@@ -187,6 +188,39 @@ class TestTrainGuards:
         assert main(args) == 0
         assert main(args) == 1
         assert main(args + ["--force"]) == 0
+
+
+class TestTimings:
+    def test_train_writes_timings_outside_the_reproduced_files(self, dataset,
+                                                               capsys, tmp_path):
+        args = ["train", "--mode", "full", "--data", str(dataset)] + SMALL_MODEL \
+            + ["--epochs", "3", "--batch-size", "8", "--lr", "0.01", "--seed", "0"]
+        dirs = []
+        for out in ("t1", "t2"):
+            code, out_text, _ = run(capsys, args + ["--out", str(tmp_path / out)])
+            assert code == 0
+            dirs.append(tmp_path / out / grep_value(out_text, "fingerprint"))
+        for d in dirs:
+            assert sorted(p.name for p in d.iterdir()) == [
+                "config.txt", "record.csv", "summary.json", "task.ckpt",
+                "timings.json"]
+            timings = json.loads((d / "timings.json").read_text())
+            assert [e["epoch"] for e in timings["epochs"]] == [1, 2, 3]
+            for e in timings["epochs"]:
+                assert e["train_s"] > 0 and e["eval_s"] > 0
+            env = timings["environment"]
+            assert env["numpy"] == np.__version__
+            assert set(env["blas"]) == {"name", "version"}
+            assert "OPENBLAS_NUM_THREADS" in env["threads"]
+        for name in ("config.txt", "record.csv", "summary.json"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+        summary = json.loads((dirs[0] / "summary.json").read_text())
+        assert sorted(summary) == sorted([
+            "fingerprint", "epochs", "final_train_loss", "final_train_auc",
+            "final_test_auc", "final_train_err", "final_test_err", "gap_auc",
+            "gap_err", "epoch1_train_loss", "config"])
+        assert (dirs[0] / "record.csv").read_text().splitlines()[0] == \
+            "epoch,train_loss,train_auc,test_auc,gap"
 
 
 class TestWorkflow:
