@@ -204,6 +204,27 @@ def _adapter_cost(w: _FlopWalker, label: str, rows: int, d: int, b: int,
     return w.bn(f"{label}.bn", rows * d, True, h_rg)
 
 
+def _mlp_linear_cost(w: _FlopWalker, label: str, rows: int, n_in: int,
+                     n_out: int, peft: PeftConfig, w_train: bool, b_train: bool,
+                     x_rg: bool) -> bool:
+    """One MLP linear as ``model._mlp_linear`` runs it: IA³ → linear → LoRA."""
+    c = FLOP_COSTS
+    h_rg = x_rg
+    if peft.mode == "ia3":
+        h_rg = w.elementwise(f"{label}.ia3", rows * n_in, c["ia3_fwd"],
+                             c["ia3_bwd_input"] if x_rg else 0, True)
+        w._log(f"{label}.ia3_vec_grad", 0, c["ia3_bwd_vec"] * rows * n_in)
+    out_rg = w.linear(label, rows, n_in, n_out, w_train, b_train, h_rg)
+    if peft.mode == "lora":
+        r = peft.lora_rank
+        w.linear(f"{label}.lora_a", rows, n_in, r, True, False, x_rg,
+                 with_bias=False)
+        w.linear(f"{label}.lora_b", rows, r, n_out, True, False, True,
+                 with_bias=False)
+        out_rg = w.add(f"{label}.lora_add", rows * n_out, int(out_rg) + 1)
+    return out_rg
+
+
 def _walk(model: ModelConfig, peft: PeftConfig, batch_size: int,
           train_phase: bool, avg_nodes: float, avg_edges: float) -> _FlopWalker:
     d, H, L, T = model.emb_dim, model.hidden, model.num_layers, model.num_tasks
@@ -236,36 +257,12 @@ def _walk(model: ModelConfig, peft: PeftConfig, batch_size: int,
         if mode == "prompt_node":
             m_rg = w.add(f"layer.{l}.prompt_add", n * d, int(m_rg) + 1)
 
-        h_rg = m_rg
-        if mode == "ia3":
-            h_rg = w.elementwise(f"layer.{l}.mlp.0.ia3", n * d, c["ia3_fwd"],
-                                 c["ia3_bwd_input"] if h_rg else 0, True)
-            w._log(f"layer.{l}.mlp.0.ia3_vec_grad", 0,
-                   c["ia3_bwd_vec"] * n * d)
-        h_rg = w.linear(f"layer.{l}.mlp.0", n, d, H, wt, bias_t, h_rg)
-        if mode == "lora":
-            r = peft.lora_rank
-            w.linear(f"layer.{l}.mlp.0.lora_a", n, d, r, True, False, m_rg,
-                     with_bias=False)
-            w.linear(f"layer.{l}.mlp.0.lora_b", n, r, H, True, False, True,
-                     with_bias=False)
-            h_rg = w.add(f"layer.{l}.mlp.0.lora_add", n * H, int(h_rg) + 1)
+        h_rg = _mlp_linear_cost(w, f"layer.{l}.mlp.0", n, d, H, peft, wt,
+                                bias_t, m_rg)
         h_rg = w.elementwise(f"layer.{l}.mlp.relu", n * H,
                              c["relu_fwd"], c["relu_bwd"], h_rg)
-        mid_rg = h_rg
-        if mode == "ia3":
-            h_rg = w.elementwise(f"layer.{l}.mlp.1.ia3", n * H, c["ia3_fwd"],
-                                 c["ia3_bwd_input"] if h_rg else 0, True)
-            w._log(f"layer.{l}.mlp.1.ia3_vec_grad", 0,
-                   c["ia3_bwd_vec"] * n * H)
-        h_rg = w.linear(f"layer.{l}.mlp.1", n, H, d, wt, bias_t, h_rg)
-        if mode == "lora":
-            r = peft.lora_rank
-            w.linear(f"layer.{l}.mlp.1.lora_a", n, H, r, True, False, mid_rg,
-                     with_bias=False)
-            w.linear(f"layer.{l}.mlp.1.lora_b", n, r, d, True, False, True,
-                     with_bias=False)
-            h_rg = w.add(f"layer.{l}.mlp.1.lora_add", n * d, int(h_rg) + 1)
+        h_rg = _mlp_linear_cost(w, f"layer.{l}.mlp.1", n, H, d, peft, wt,
+                                bias_t, h_rg)
         h_rg = w.bn(f"layer.{l}.bn", n * d, bn_t, h_rg)
 
         slots = ADAPTER_SLOTS.get(mode)
@@ -352,10 +349,7 @@ def _run_sweep_task(task: dict, train_ds: Dataset, test_ds: Dataset,
     model = ModelConfig(emb_dim=task["d"], num_layers=task["layers"],
                         num_tasks=train_ds.num_tasks, dropout=task["dropout"],
                         vocab=train_ds.vocab)
-    peft = PeftConfig(mode=task["mode"], bottleneck=task["b"],
-                      lora_rank=task.get("lora_rank", 10),
-                      scaling_init=task.get("scaling_init", 0.01),
-                      k=task.get("k", 1))
+    peft = PeftConfig(mode=task["mode"], bottleneck=task["b"])
     tcfg = TrainConfig(epochs=task["epochs"], batch_size=task["batch_size"],
                        lr=task["lr"], seed=task["seed"])
     reg = init_params(model, seed=task["seed"])
@@ -386,10 +380,10 @@ def _subsample(ds: Dataset, frac: float, seed: int) -> Dataset:
 
 
 def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
-               train: TrainConfig = TrainConfig(), bottleneck: int = 15,
+               train: TrainConfig = TrainConfig(),
+               bottleneck: int = PeftConfig.bottleneck,
                d_grid: Sequence[int] = (), b_grid: Sequence[int] = (),
-               frac_grid: Sequence[float] = (),
-               d_full_grid: Sequence[int] = (),
+               frac_grid: Sequence[float] = (), d_full_grid: Sequence[int] = (),
                modes: Sequence[str] = ("full", "adaptergnn"),
                init: str = "scratch", seeds: Sequence[int] = (0,),
                ) -> list[dict]:
@@ -444,7 +438,8 @@ def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
 
 
 def sweep(kind: str, dataset: Dataset, *, model: ModelConfig = ModelConfig(),
-          train: TrainConfig = TrainConfig(), bottleneck: int = 15,
+          train: TrainConfig = TrainConfig(),
+          bottleneck: int = PeftConfig.bottleneck,
           d_grid: Sequence[int] = (), b_grid: Sequence[int] = (),
           frac_grid: Sequence[float] = (), d_full_grid: Sequence[int] = (),
           modes: Sequence[str] = ("full", "adaptergnn"),

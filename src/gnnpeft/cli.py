@@ -6,11 +6,17 @@ refused overwrites), 2 runtime failure (bad files, divergence, undefined
 metrics). Every run directory receives a flat ``config.txt`` echo that
 reparses to the exact configuration used, and is named by the config
 fingerprint so identical requests collide instead of duplicating.
+
+``RUN_KEYS`` is the one schema of a run's configuration: each key is a
+``ModelConfig``/``PeftConfig``/``TrainConfig`` field (``vocab`` is split into
+``node_vocab``/``edge_vocab``), a config-file key, a ``config.txt`` line and
+its flag's argparse dest. Defaults live only in those dataclasses.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import pathlib
@@ -18,11 +24,9 @@ import shutil
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .analysis import (bound, BoundInput, compute_gaps, count_params,
-                       estimate_flops, hoeffding_gap, log_hypothesis_size_for,
-                       sweep, sweep_csv, sweep_plan, SWEEP_COLUMNS)
+from .analysis import (bound, BoundInput, count_params, estimate_flops,
+                       hoeffding_gap, log_hypothesis_size_for, sweep,
+                       sweep_csv, sweep_plan)
 from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                      config_fingerprint)
 from .graphs import (DatasetFormatError, SplitSpec, Vocab,
@@ -47,8 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@contextlib.contextmanager
+def _as_usage_error():
+    """Report a constructor's refusal of a flag value as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 # ---------------------------------------------------------------------------
-# config files and value casting
+# config files, value casting and the run-key schema
 # ---------------------------------------------------------------------------
 
 def parse_config_file(path) -> dict:
@@ -69,6 +82,10 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def _cast_str(key, v):
+    return v
+
+
 def _cast_bool(key, v):
     low = v.lower()
     if low in ("true", "1", "yes"):
@@ -78,22 +95,16 @@ def _cast_bool(key, v):
     raise UsageError(f"{key}: expected true/false, got {v!r}")
 
 
-def _cast_opt(key, v, caster):
-    return None if v.lower() == "none" else caster(key, v)
+def _number(kind, name):
+    def cast(key, v):
+        try:
+            return kind(v)
+        except ValueError:
+            raise UsageError(f"{key}: expected {name}, got {v!r}") from None
+    return cast
 
 
-def _cast_int(key, v):
-    try:
-        return int(v)
-    except ValueError:
-        raise UsageError(f"{key}: expected integer, got {v!r}") from None
-
-
-def _cast_float(key, v):
-    try:
-        return float(v)
-    except ValueError:
-        raise UsageError(f"{key}: expected number, got {v!r}") from None
+_cast_int, _cast_float = _number(int, "integer"), _number(float, "number")
 
 
 def _cast_pair(key, v):
@@ -103,98 +114,74 @@ def _cast_pair(key, v):
     return (_cast_int(key, parts[0]), _cast_int(key, parts[1]))
 
 
-MODEL_KEYS = {
-    "emb_dim": _cast_int, "mlp_hidden": lambda k, v: _cast_opt(k, v, _cast_int),
-    "num_layers": _cast_int, "num_tasks": _cast_int, "dropout": _cast_float,
-    "node_vocab": _cast_pair, "edge_vocab": _cast_pair,
+def _optional(caster):
+    """``caster`` that also reads ``none`` as None."""
+    return lambda key, v: None if v.lower() == "none" else caster(key, v)
+
+
+_cast_opt_int, _cast_opt_bool = _optional(_cast_int), _optional(_cast_bool)
+_METAVARS = {_cast_pair: "V0,V1", _cast_bool: "true|false",
+             _cast_opt_bool: "true|false|none"}
+
+# run key -> (command-line flag, caster from its string form); the order
+# is the echo's, which checkpoint metas and summary.json keep
+RUN_KEYS = {
+    "emb_dim": ("--emb", _cast_int), "mlp_hidden": ("--hidden", _cast_opt_int),
+    "num_layers": ("--layers", _cast_int), "num_tasks": ("--tasks", _cast_int),
+    "dropout": ("--dropout", _cast_float),
+    "node_vocab": ("--node-vocab", _cast_pair),
+    "edge_vocab": ("--edge-vocab", _cast_pair),
+    "mode": ("--mode", _cast_str), "bottleneck": ("--bottleneck", _cast_int),
+    "lora_rank": ("--lora-rank", _cast_int),
+    "scaling_init": ("--scaling-init", _cast_float),
+    "tune_backbone_bias": ("--tune-backbone-bias", _cast_opt_bool),
+    "tune_backbone_bn": ("--tune-backbone-bn", _cast_bool),
+    "k": ("--k", _cast_int), "epochs": ("--epochs", _cast_int),
+    "batch_size": ("--batch-size", _cast_int), "lr": ("--lr", _cast_float),
+    "weight_decay": ("--weight-decay", _cast_float),
+    "seed": ("--seed", _cast_int),
 }
-PEFT_KEYS = {
-    "mode": lambda k, v: v, "bottleneck": _cast_int, "lora_rank": _cast_int,
-    "scaling_init": _cast_float,
-    "tune_backbone_bias": lambda k, v: _cast_opt(k, v, _cast_bool),
-    "tune_backbone_bn": _cast_bool, "k": _cast_int,
-}
-TRAIN_KEYS = {
-    "epochs": _cast_int, "batch_size": _cast_int, "lr": _cast_float,
-    "weight_decay": _cast_float, "seed": _cast_int,
-}
-RUN_KEYS = {**MODEL_KEYS, **PEFT_KEYS, **TRAIN_KEYS}
-
-# command-line flag destinations that mirror config-file keys
-FLAG_TO_KEY = {
-    "emb": "emb_dim", "hidden": "mlp_hidden", "layers": "num_layers",
-    "tasks": "num_tasks", "dropout": "dropout", "node_vocab": "node_vocab",
-    "edge_vocab": "edge_vocab", "mode": "mode", "bottleneck": "bottleneck",
-    "lora_rank": "lora_rank", "scaling_init": "scaling_init",
-    "tune_backbone_bias": "tune_backbone_bias",
-    "tune_backbone_bn": "tune_backbone_bn", "k": "k", "epochs": "epochs",
-    "batch_size": "batch_size", "lr": "lr", "weight_decay": "weight_decay",
-    "seed": "seed",
-}
+VOCAB_KEYS = {"node_vocab": "node", "edge_vocab": "edge"}  # Vocab's fields
+CONFIGS = (ModelConfig, PeftConfig, TrainConfig)
 
 
-def _add_run_flags(p: _Parser, include=("model", "peft", "train")) -> None:
-    if "model" in include:
-        p.add_argument("--emb", metavar="D")
-        p.add_argument("--hidden", metavar="H")
-        p.add_argument("--layers", metavar="L")
-        p.add_argument("--tasks", metavar="T")
-        p.add_argument("--dropout")
-        p.add_argument("--node-vocab", dest="node_vocab", metavar="V0,V1")
-        p.add_argument("--edge-vocab", dest="edge_vocab", metavar="V0,V1")
-    if "peft" in include:
-        p.add_argument("--mode")
-        p.add_argument("--bottleneck", metavar="B")
-        p.add_argument("--lora-rank", dest="lora_rank")
-        p.add_argument("--scaling-init", dest="scaling_init")
-        p.add_argument("--tune-backbone-bias", dest="tune_backbone_bias",
-                       metavar="true|false|none")
-        p.add_argument("--tune-backbone-bn", dest="tune_backbone_bn",
-                       metavar="true|false")
-        p.add_argument("--k")
-    if "train" in include:
-        p.add_argument("--epochs")
-        p.add_argument("--batch-size", dest="batch_size")
-        p.add_argument("--lr")
-        p.add_argument("--weight-decay", dest="weight_decay")
-    p.add_argument("--seed")
+def _add_run_flags(p: _Parser, *configs) -> None:
+    """``--config`` and one flag per run key of the config classes
+    ``configs``; every command that takes run flags accepts ``--seed``."""
+    fields = {f.name for cls in configs for f in dataclasses.fields(cls)}
+    keys = [k for k in RUN_KEYS if ("vocab" if k in VOCAB_KEYS else k) in fields]
+    p.add_argument("--config")
+    for key in keys:
+        flag, cast = RUN_KEYS[key]
+        p.add_argument(flag, dest=key, metavar=_METAVARS.get(cast))
+    if "seed" not in keys:
+        p.add_argument("--seed")
+    p.set_defaults(run_keys=keys)
 
 
-def merge_config(args, allowed: dict) -> dict:
-    """Config file first, explicit flags override; unknown keys rejected."""
-    merged: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_cfg = parse_config_file(args.config)
-        unknown = set(file_cfg) - set(allowed)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    for dest, key in FLAG_TO_KEY.items():
-        if key not in allowed:
-            continue
-        val = getattr(args, dest, None)
-        if val is not None:
-            merged[key] = val
+def merge_config(args) -> dict:
+    """Config file first, explicit flags override; keys outside the
+    command's run keys are rejected."""
+    merged = parse_config_file(args.config) if args.config else {}
+    unknown = set(merged) - set(args.run_keys)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key in args.run_keys:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     return merged
 
 
 def build_run_configs(merged: dict) -> tuple[ModelConfig, PeftConfig, TrainConfig]:
-    cast: dict = {}
-    for key, raw in merged.items():
-        cast[key] = RUN_KEYS[key](key, raw) if isinstance(raw, str) else raw
-    vocab_kw = {}
-    if "node_vocab" in cast or "edge_vocab" in cast:
-        vocab_kw["vocab"] = Vocab(node=cast.pop("node_vocab", Vocab().node),
-                                  edge=cast.pop("edge_vocab", Vocab().edge))
-    else:
-        cast.pop("node_vocab", None)
-        cast.pop("edge_vocab", None)
-    model = ModelConfig(**{k: cast[k] for k in MODEL_KEYS
-                           if k in cast and not k.endswith("_vocab")},
-                        **vocab_kw)
-    peft = PeftConfig(**{k: cast[k] for k in PEFT_KEYS if k in cast})
-    train = TrainConfig(**{k: cast[k] for k in TRAIN_KEYS if k in cast})
-    return model, peft, train
+    """The three configs from run keys (string values are cast); absent
+    keys take the dataclass defaults."""
+    cast = {k: RUN_KEYS[k][1](k, v) if isinstance(v, str) else v
+            for k, v in merged.items()}
+    with _as_usage_error():
+        cast["vocab"] = Vocab(**{part: cast.pop(k) for k, part in VOCAB_KEYS.items()
+                                 if k in cast})
+        return tuple(cls(**{f.name: cast[f.name] for f in dataclasses.fields(cls)
+                            if f.name in cast}) for cls in CONFIGS)
 
 
 def _fmt(v) -> str:
@@ -211,25 +198,15 @@ def _fmt(v) -> str:
 
 def canonical_echo(model: ModelConfig, peft: PeftConfig, train: TrainConfig,
                    extra: Optional[dict] = None) -> dict:
-    """Fully resolved flat config: every known key in canonical string
+    """Fully resolved flat config: every run key in canonical string
     form, so the fingerprint ignores which subset was passed explicitly.
     Tuning fields the mode does not read echo their defaults, so they do
     not fork the fingerprint either."""
-    peft = canonical_peft(peft)
-    echo = {
-        "emb_dim": _fmt(model.emb_dim), "mlp_hidden": _fmt(model.mlp_hidden),
-        "num_layers": _fmt(model.num_layers), "num_tasks": _fmt(model.num_tasks),
-        "dropout": _fmt(model.dropout), "node_vocab": _fmt(model.vocab.node),
-        "edge_vocab": _fmt(model.vocab.edge),
-        "mode": peft.mode, "bottleneck": _fmt(peft.bottleneck),
-        "lora_rank": _fmt(peft.lora_rank),
-        "scaling_init": _fmt(peft.scaling_init),
-        "tune_backbone_bias": _fmt(peft.tune_backbone_bias),
-        "tune_backbone_bn": _fmt(peft.tune_backbone_bn), "k": _fmt(peft.k),
-        "epochs": _fmt(train.epochs), "batch_size": _fmt(train.batch_size),
-        "lr": _fmt(train.lr), "weight_decay": _fmt(train.weight_decay),
-        "seed": _fmt(train.seed),
-    }
+    values = {f.name: getattr(c, f.name)
+              for c in (model, canonical_peft(peft), train)
+              for f in dataclasses.fields(c)}
+    values.update({k: getattr(model.vocab, part) for k, part in VOCAB_KEYS.items()})
+    echo = {k: _fmt(values[k]) for k in RUN_KEYS}
     if extra:
         echo.update({k: _fmt(v) for k, v in extra.items()})
     return echo
@@ -253,8 +230,10 @@ def prepare_run_dir(out_root, fingerprint: str, force: bool) -> pathlib.Path:
 
 
 def _split_spec(args) -> SplitSpec:
-    fractions = tuple(float(x) for x in args.fractions.split(","))
-    return SplitSpec(fractions=fractions, mode=args.split)
+    fractions = tuple(_cast_float("fractions", x)
+                      for x in args.fractions.split(","))
+    with _as_usage_error():
+        return SplitSpec(fractions=fractions, mode=args.split)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +245,13 @@ def cmd_gen_data(args) -> int:
     if out.exists() and not args.force:
         raise UsageError(f"{out} exists; pass --force to overwrite")
     nodes = _cast_pair("nodes", args.nodes)
-    vocab = Vocab(node=_cast_pair("node_vocab", args.node_vocab),
-                  edge=_cast_pair("edge_vocab", args.edge_vocab))
-    ds = generate_synthetic(args.n, node_range=nodes,
-                            edge_prob=args.edge_prob, vocab=vocab,
-                            n_tasks=args.tasks, seed=args.seed,
-                            attr_affinity=args.attr_affinity)
+    with _as_usage_error():
+        vocab = Vocab(node=_cast_pair("node_vocab", args.node_vocab),
+                      edge=_cast_pair("edge_vocab", args.edge_vocab))
+        ds = generate_synthetic(args.n, node_range=nodes,
+                                edge_prob=args.edge_prob, vocab=vocab,
+                                n_tasks=args.tasks, seed=args.seed,
+                                attr_affinity=args.attr_affinity)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_jsonl(ds, out)
     print(f"wrote {len(ds)} graphs to {out}")
@@ -279,8 +259,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    merged = merge_config(args, {**MODEL_KEYS, **TRAIN_KEYS})
-    model, _, train = build_run_configs(merged)
+    model, _, train = build_run_configs(merge_config(args))
     echo = canonical_echo(model, PeftConfig(mode="full"), train,
                           extra={"command": "pretrain", "data": args.data})
     fp = config_fingerprint(echo)
@@ -308,22 +287,19 @@ def _load_backbone(reg, path, model: ModelConfig) -> None:
         raise CheckpointFormatError(
             f"{path} is not an encoder checkpoint (kind {meta.get('kind')!r})")
     cfg = meta.get("config", {})
-    for key, want in (("emb_dim", model.emb_dim),
-                      ("num_layers", model.num_layers),
-                      ("node_vocab", _fmt(model.vocab.node)),
-                      ("edge_vocab", _fmt(model.vocab.edge)),
-                      ("mlp_hidden", _fmt(model.mlp_hidden))):
+    want = canonical_echo(model, PeftConfig(), TrainConfig())
+    for key in ("emb_dim", "num_layers", "node_vocab", "edge_vocab", "mlp_hidden"):
         got = cfg.get(key)
-        if got is not None and str(got) != str(want):
+        if got is not None and str(got) != want[key]:
             raise CheckpointFormatError(
                 f"backbone checkpoint was built with {key}={got}, "
-                f"this run uses {key}={want}")
+                f"this run uses {key}={want[key]}")
     reg.load_state(params, buffers)
 
 
 def cmd_train(args) -> int:
-    merged = merge_config(args, RUN_KEYS)
-    model, peft, train = build_run_configs(merged)
+    model, peft, train = build_run_configs(merge_config(args))
+    spec = _split_spec(args)
     if peft.mode != "full" and not args.backbone_ckpt \
             and not args.allow_random_backbone:
         raise UsageError(
@@ -340,7 +316,7 @@ def cmd_train(args) -> int:
     write_echo(run_dir, echo)
     ds = load_jsonl(args.data, vocab=model.vocab)
     model = dataclasses.replace(model, num_tasks=ds.num_tasks)
-    train_ds, _, test_ds = split(ds, _split_spec(args), seed=train.seed)
+    train_ds, _, test_ds = split(ds, spec, seed=train.seed)
 
     reg = init_params(model, seed=train.seed)
     if args.backbone_ckpt:
@@ -421,19 +397,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-GRID_KEYS = {"emb": _cast_int, "b": _cast_int, "frac": _cast_float,
-             "dfull": _cast_int, "mode": lambda k, v: v, "seed": _cast_int}
+# sweep grid key -> (sweep_plan argument, caster of each list item)
+GRID_KEYS = {"emb": ("d_grid", _cast_int), "b": ("b_grid", _cast_int),
+             "frac": ("frac_grid", _cast_float), "dfull": ("d_full_grid", _cast_int),
+             "mode": ("modes", _cast_str), "seed": ("seeds", _cast_int)}
 SCALAR_KEYS = {"layers": _cast_int, "epochs": _cast_int,
                "batch_size": _cast_int, "lr": _cast_float,
-               "dropout": _cast_float, "init": lambda k, v: v,
+               "dropout": _cast_float, "init": _cast_str,
                "pretrain_epochs": _cast_int, "node_vocab": _cast_pair,
                "edge_vocab": _cast_pair}
 
 
 def _parse_sweep_grid(pairs: Sequence[str], config_path) -> tuple[dict, dict]:
-    raw: dict[str, str] = {}
-    if config_path:
-        raw.update(parse_config_file(config_path))
+    raw = parse_config_file(config_path) if config_path else {}
     for item in pairs:
         if "=" not in item:
             raise UsageError(f"sweep grid entries look like key=value, got {item!r}")
@@ -443,9 +419,9 @@ def _parse_sweep_grid(pairs: Sequence[str], config_path) -> tuple[dict, dict]:
     scalars: dict = {}
     for key, val in raw.items():
         if key in GRID_KEYS:
-            grids[key] = [GRID_KEYS[key](key, p) for p in val.split(",")]
+            grids[key] = [GRID_KEYS[key][1](key, p) for p in val.split(",")]
         elif key in SCALAR_KEYS:
-            if "," in val and key not in ("node_vocab", "edge_vocab"):
+            if "," in val and key not in VOCAB_KEYS:
                 raise UsageError(f"{key} does not sweep; got list {val!r}")
             scalars[key] = SCALAR_KEYS[key](key, val)
         else:
@@ -457,24 +433,18 @@ def cmd_sweep(args) -> int:
     if not args.out and not args.csv:
         raise UsageError("sweep needs --out and/or --csv")
     grids, scalars = _parse_sweep_grid(args.grid, args.config)
-    vocab = Vocab(node=scalars.get("node_vocab", Vocab().node),
-                  edge=scalars.get("edge_vocab", Vocab().edge))
-    embs = grids.get("emb", [ModelConfig().emb_dim])
-    model = ModelConfig(emb_dim=embs[0], num_layers=scalars.get("layers", 5),
-                        dropout=scalars.get("dropout", 0.5), vocab=vocab)
-    train = TrainConfig(epochs=scalars.get("epochs", 100),
-                        batch_size=scalars.get("batch_size", 32),
-                        lr=scalars.get("lr", 1e-3),
-                        seed=grids.get("seed", [0])[0])
-    kw = dict(model=model, train=train,
-              bottleneck=grids.get("b", [15])[0],
-              d_grid=tuple(grids.get("emb", ())),
-              b_grid=tuple(grids.get("b", ())),
-              frac_grid=tuple(grids.get("frac", ())),
-              d_full_grid=tuple(grids.get("dfull", ())),
-              modes=tuple(grids.get("mode", ("full", "adaptergnn"))),
-              init=scalars.get("init", "scratch"),
-              seeds=tuple(grids.get("seed", (0,))))
+    # the run keys given; the first emb is the width of kinds that do not vary d
+    given = {"num_layers" if k == "layers" else k: v for k, v in scalars.items()
+             if k not in ("init", "pretrain_epochs")}
+    if "emb" in grids:
+        given["emb_dim"] = grids["emb"][0]
+    model, _, train = build_run_configs(given)
+    kw = {arg: tuple(grids[k]) for k, (arg, _) in GRID_KEYS.items() if k in grids}
+    if "b" in grids:
+        kw["bottleneck"] = grids["b"][0]
+    if "init" in scalars:
+        kw["init"] = scalars["init"]
+    kw.update(model=model, train=train)
     plan = sweep_plan(args.kind, **kw)
     if len(plan) > CONFIRM_LIMIT and not args.yes:
         raise UsageError(f"sweep expands to {len(plan)} runs "
@@ -483,7 +453,7 @@ def cmd_sweep(args) -> int:
             **{k: _fmt(v) for k, v in sorted(scalars.items())},
             **{k: _fmt(v) for k, v in sorted(grids.items())}}
     fp = config_fingerprint(echo)
-    ds = load_jsonl(args.data, vocab=vocab)
+    ds = load_jsonl(args.data, vocab=model.vocab)
     rows = sweep(args.kind, ds, jobs=args.jobs,
                  pretrain_epochs=scalars.get("pretrain_epochs"), **kw)
     text = sweep_csv(rows)
@@ -500,8 +470,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    merged = merge_config(args, {**MODEL_KEYS, **PEFT_KEYS})
-    model, peft, _ = build_run_configs(merged)
+    model, peft, _ = build_run_configs(merge_config(args))
     reg = init_params(model, seed=0)
     apply_peft(reg, model, peft, seed=0)
     counts = count_params(reg)
@@ -522,10 +491,10 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    merged = merge_config(args, {**MODEL_KEYS, **PEFT_KEYS})
-    model, peft, _ = build_run_configs(merged)
-    est = estimate_flops(model, peft, args.batch, phase=args.phase,
-                         avg_nodes=args.avg_nodes, avg_edges=args.avg_edges)
+    model, peft, _ = build_run_configs(merge_config(args))
+    with _as_usage_error():
+        est = estimate_flops(model, peft, args.batch, phase=args.phase,
+                             avg_nodes=args.avg_nodes, avg_edges=args.avg_edges)
     print(f"total {est.total}")
     print(f"forward {est.forward}")
     print(f"backward {est.backward}")
@@ -550,10 +519,8 @@ def cmd_bound(args) -> int:
         raise UsageError("pass exactly one of --logH or --params")
     logh = args.logH if args.logH is not None \
         else log_hypothesis_size_for(args.params)
-    try:
+    with _as_usage_error():
         gap = hoeffding_gap(logh, args.n, args.delta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     print(f"gap {gap!r}")
     payload = {"gap": gap, "log_hypothesis_size": logh, "n": args.n,
                "delta": args.delta}
@@ -581,16 +548,14 @@ def build_parser() -> _Parser:
                   description="GNN parameter-efficient fine-tuning workbench")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", parents=[], help="write a synthetic JSONL dataset",
-                       add_help=True)
+    p = sub.add_parser("gen-data", help="write a synthetic JSONL dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--nodes", default="6,16")
-    p.add_argument("--edge-prob", dest="edge_prob", type=float, default=0.25)
-    p.add_argument("--attr-affinity", dest="attr_affinity", type=float,
-                   default=0.0)
-    p.add_argument("--node-vocab", dest="node_vocab", default="8,4")
-    p.add_argument("--edge-vocab", dest="edge_vocab", default="4,3")
+    p.add_argument("--edge-prob", type=float, default=0.25)
+    p.add_argument("--attr-affinity", type=float, default=0.0)
+    p.add_argument("--node-vocab", default="8,4")
+    p.add_argument("--edge-vocab", default="4,3")
     p.add_argument("--tasks", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
@@ -600,29 +565,26 @@ def build_parser() -> _Parser:
     p = sub.add_parser("pretrain", help="edge-prediction pre-training")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--force", action="store_true")
-    _add_run_flags(p, include=("model", "train"))
+    _add_run_flags(p, ModelConfig, TrainConfig)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="supervised training / fine-tuning")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--backbone-ckpt", dest="backbone_ckpt")
-    p.add_argument("--allow-random-backbone", dest="allow_random_backbone",
-                   action="store_true")
+    p.add_argument("--backbone-ckpt")
+    p.add_argument("--allow-random-backbone", action="store_true")
     p.add_argument("--split", choices=("structure", "random"),
                    default="structure")
     p.add_argument("--fractions", default="0.8,0.1,0.1")
-    _add_run_flags(p)
+    _add_run_flags(p, *CONFIGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a task checkpoint")
     p.add_argument("--data", required=True)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--backbone-ckpt", dest="backbone_ckpt")
+    p.add_argument("--backbone-ckpt")
     p.add_argument("--part", choices=("train", "valid", "test", "all"),
                    default="test")
     p.add_argument("--split", choices=("structure", "random"),
@@ -654,19 +616,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("count-params", help="exact parameter counts")
     p.add_argument("--out")
-    p.add_argument("--config")
-    _add_run_flags(p, include=("model", "peft"))
+    _add_run_flags(p, ModelConfig, PeftConfig)
     p.set_defaults(func=cmd_count_params)
 
     p = sub.add_parser("flops", help="analytic FLOPs estimate")
     p.add_argument("--batch", type=int, default=32)
     p.add_argument("--phase", choices=("train", "infer"), default="train")
-    p.add_argument("--avg-nodes", dest="avg_nodes", type=float, default=12.0)
-    p.add_argument("--avg-edges", dest="avg_edges", type=float, default=13.0)
+    p.add_argument("--avg-nodes", type=float, default=12.0)
+    p.add_argument("--avg-edges", type=float, default=13.0)
     p.add_argument("--breakdown", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--config")
-    _add_run_flags(p, include=("model", "peft"))
+    _add_run_flags(p, ModelConfig, PeftConfig)
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("bound", help="finite-hypothesis generalization bound")
@@ -675,8 +635,7 @@ def build_parser() -> _Parser:
                    help="trainable-parameter count; ln|H| = ln2 * params")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--train-error", dest="train_error", type=float,
-                   default=None)
+    p.add_argument("--train-error", type=float, default=None)
     p.add_argument("--out")
     p.add_argument("--config", default=None, help=argparse.SUPPRESS)
     p.add_argument("--seed", default=None, help=argparse.SUPPRESS)

@@ -2,7 +2,9 @@
 
 These are the deterministic constructor inputs for every run; sweeps vary
 their fields. Validation happens at construction so that bad grids fail
-before any work starts.
+before any work starts. These defaults are the only ones: the CLI and the
+sweep runners pass just the values a user gave. Every field but ``vocab``
+(written ``node_vocab``/``edge_vocab``) is a CLI run key of the same name.
 """
 
 from __future__ import annotations
@@ -99,8 +101,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     lr: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
     weight_decay: float = 0.0
     seed: int = 0
 
@@ -115,17 +115,12 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
-# keys that steer output plumbing, not the computation itself
-NON_SEMANTIC_KEYS = frozenset({"out", "force", "yes", "jobs", "csv", "config"})
-
-
 def config_fingerprint(cfg: dict) -> str:
     """Short stable hash of a flat config dict.
 
-    Output-plumbing keys are excluded, so re-running the same experiment
-    into a different directory yields the same fingerprint.
+    Callers pass only what fixes the computation (the CLI echo, a sweep
+    task), never output plumbing, so re-running the same experiment into
+    a different directory yields the same fingerprint.
     """
-    semantic = {k: v for k, v in cfg.items() if k not in NON_SEMANTIC_KEYS}
-    blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"),
-                      default=str)
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -86,8 +86,10 @@ class SplitSpec:
     def __post_init__(self):
         if self.mode not in ("random", "structure"):
             raise ValueError(f"split mode must be random|structure, got {self.mode!r}")
-        if abs(sum(self.fractions) - 1.0) > 1e-9 or any(f < 0 for f in self.fractions):
-            raise ValueError(f"fractions must be nonnegative and sum to 1, got {self.fractions}")
+        if (len(self.fractions) != 3 or abs(sum(self.fractions) - 1.0) > 1e-9
+                or any(f < 0 for f in self.fractions)):
+            raise ValueError("fractions must be three nonnegative train,valid,test "
+                             f"shares summing to 1, got {self.fractions}")
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,9 @@ class MetricUndefinedError(ValueError):
 # Adam updates this many elements at a time, so a chunk of the parameter,
 # its gradient, both moments and two scratch rows stay in cache.
 ADAM_CHUNK = 1 << 14
+# moment decay rates and denominator offset, the textbook values; no run varies them
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -86,10 +89,10 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.cfg.betas
+        b1, b2 = ADAM_BETAS
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        lr, eps, wd = self.cfg.lr, self.cfg.eps, self.cfg.weight_decay
+        lr, eps, wd = self.cfg.lr, ADAM_EPS, self.cfg.weight_decay
         for name, tensor in self.slots:
             p, grad = _flat(tensor.data), _flat(tensor.grad)
             m, v = _flat(self.m[name]), _flat(self.v[name])

@@ -1,6 +1,9 @@
-"""Exit-code contract, config-file merging, echo reparsing, output-dir
-guards, and end-to-end command workflows (in-process via main(argv))."""
+"""Exit-code contract, config-file merging, the run-key schema, echo
+reparsing, output-dir guards, and end-to-end command workflows
+(in-process via main(argv))."""
 
+import csv
+import dataclasses
 import json
 import math
 import re
@@ -10,7 +13,8 @@ import sys
 import numpy as np
 import pytest
 
-from gnnpeft.cli import (_fmt, build_run_configs, canonical_echo, main,
+from gnnpeft.cli import (RUN_KEYS, UsageError, _fmt, build_parser,
+                         build_run_configs, canonical_echo, main, merge_config,
                          parse_config_file)
 from gnnpeft.config import config_fingerprint
 from gnnpeft.config import PEFT_MODES, ModelConfig, PeftConfig, TrainConfig
@@ -579,3 +583,147 @@ class TestFlopsCommand:
         code, _, _ = run(capsys, ["flops", "--mode", "full", "--phase",
                                   "maybe"])
         assert code == 1
+
+
+class TestBadFlagValues:
+    """A value a constructor refuses is a one-line usage error, raised
+    before any output is written."""
+
+    CASES = {
+        "train-node-vocab": (["train", "--mode", "full"] + SMALL_MODEL + FAST_TRAIN
+                             + ["--node-vocab", "0,2"],
+                             "vocab sizes must be two positive ints"),
+        "train-fractions-not-numbers": (["train", "--mode", "full"] + SMALL_MODEL
+                                        + FAST_TRAIN + ["--fractions", "a,b,c"],
+                                        "fractions: expected number, got 'a'"),
+        "train-fractions-two-parts": (["train", "--mode", "full"] + SMALL_MODEL
+                                      + FAST_TRAIN + ["--fractions", "0.5,0.5"],
+                                      "fractions must be three"),
+        "gen-data-nodes": (["gen-data", "--nodes", "2,5"],
+                           "node_range must lie within [3, 64]"),
+        "flops-batch": (["flops", "--batch", "0"], "batch_size must be positive"),
+        "sweep-node-vocab": (["sweep", "--kind", "model_size", "--csv", "emb=6",
+                              "mode=full", "epochs=1", "node_vocab=0,2"],
+                             "vocab sizes must be two positive ints"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_usage_error_before_any_output(self, case, dataset, capsys, tmp_path):
+        argv, message = self.CASES[case]
+        out = tmp_path / "out"
+        if argv[0] in ("train", "sweep"):
+            argv = argv + ["--data", str(dataset), "--out", str(out)]
+        elif argv[0] == "gen-data":
+            argv = argv + ["--out", str(out)]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1, err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert stdout == "" and not out.exists()
+
+
+# The flag -> key map as it stood when argparse dests were flag names,
+# copied verbatim: the oracle for the schema that replaced it.
+PARENT_FLAG_TO_KEY = {
+    "emb": "emb_dim", "hidden": "mlp_hidden", "layers": "num_layers",
+    "tasks": "num_tasks", "dropout": "dropout", "node_vocab": "node_vocab",
+    "edge_vocab": "edge_vocab", "mode": "mode", "bottleneck": "bottleneck",
+    "lora_rank": "lora_rank", "scaling_init": "scaling_init",
+    "tune_backbone_bias": "tune_backbone_bias",
+    "tune_backbone_bn": "tune_backbone_bn", "k": "k", "epochs": "epochs",
+    "batch_size": "batch_size", "lr": "lr", "weight_decay": "weight_decay",
+    "seed": "seed",
+}
+PARENT_MODEL_KEYS = ("emb_dim", "mlp_hidden", "num_layers", "num_tasks",
+                     "dropout", "node_vocab", "edge_vocab")
+PARENT_PEFT_KEYS = ("mode", "bottleneck", "lora_rank", "scaling_init",
+                    "tune_backbone_bias", "tune_backbone_bn", "k")
+PARENT_TRAIN_KEYS = ("epochs", "batch_size", "lr", "weight_decay", "seed")
+# every command with run flags: its required arguments and the keys it reads
+RUN_COMMANDS = {
+    "pretrain": (["--data", "d", "--out", "o"], PARENT_MODEL_KEYS + PARENT_TRAIN_KEYS),
+    "train": (["--data", "d", "--out", "o"],
+              PARENT_MODEL_KEYS + PARENT_PEFT_KEYS + PARENT_TRAIN_KEYS),
+    "count-params": ([], PARENT_MODEL_KEYS + PARENT_PEFT_KEYS),
+    "flops": ([], PARENT_MODEL_KEYS + PARENT_PEFT_KEYS),
+}
+# a canonical, non-default value per key
+SAMPLE = {"emb_dim": "8", "mlp_hidden": "12", "num_layers": "2", "num_tasks": "3",
+          "dropout": "0.25", "node_vocab": "2,3", "edge_vocab": "3,2",
+          "mode": "lora", "bottleneck": "3", "lora_rank": "4",
+          "scaling_init": "0.5", "tune_backbone_bias": "false",
+          "tune_backbone_bn": "true", "k": "2", "epochs": "7",
+          "batch_size": "5", "lr": "0.02", "weight_decay": "0.001", "seed": "9"}
+
+
+def _flag(key: str) -> str:
+    dest = {v: k for k, v in PARENT_FLAG_TO_KEY.items()}[key]
+    return "--" + dest.replace("_", "-")
+
+
+class TestRunKeySchema:
+    def test_every_config_field_is_a_run_key(self):
+        fields = {f.name for cls in (ModelConfig, PeftConfig, TrainConfig)
+                  for f in dataclasses.fields(cls)}
+        assert set(RUN_KEYS) == fields - {"vocab"} | {"node_vocab", "edge_vocab"}
+        assert set(RUN_KEYS) == set(PARENT_FLAG_TO_KEY.values())
+
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    @pytest.mark.parametrize("key", sorted(SAMPLE))
+    def test_each_flag_sets_the_parents_key(self, command, key):
+        required, keys = RUN_COMMANDS[command]
+        argv = [command] + required + [_flag(key), SAMPLE[key]]
+        if key not in keys and key != "seed":
+            with pytest.raises(UsageError, match="unrecognized arguments"):
+                build_parser().parse_args(argv)
+            return
+        merged = merge_config(build_parser().parse_args(argv))
+        # every run command takes --seed, but only a trained one reads it
+        assert merged == ({key: SAMPLE[key]} if key in keys else {})
+
+    @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
+    def test_file_keys_outside_the_command_are_refused(self, command, tmp_path):
+        required, keys = RUN_COMMANDS[command]
+        cfg = tmp_path / "run.cfg"
+        for key in SAMPLE:
+            cfg.write_text(f"{key}={SAMPLE[key]}\n")
+            args = build_parser().parse_args([command] + required
+                                              + ["--config", str(cfg)])
+            if key in keys:
+                assert merge_config(args) == {key: SAMPLE[key]}
+            else:
+                with pytest.raises(UsageError, match="unknown config keys"):
+                    merge_config(args)
+
+    @pytest.mark.parametrize("key", sorted(SAMPLE))
+    def test_flag_and_file_give_the_same_configs(self, key, tmp_path):
+        # a base mode that reads the key, so the echo shows its value
+        base = {} if key == "mode" else {
+            "mode": {"lora_rank": "lora", "k": "partial_k"}.get(key, "adaptergnn")}
+        given = {**base, key: SAMPLE[key]}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in given.items()))
+        required = RUN_COMMANDS["train"][0]
+        via_flags = [x for k, v in given.items() for x in (_flag(k), v)]
+        configs = [build_run_configs(merge_config(build_parser().parse_args(
+            ["train"] + required + extra))) for extra in
+            (via_flags, ["--config", str(cfg)])]
+        assert configs[0] == configs[1]
+        assert configs[0] != build_run_configs(base)
+        assert canonical_echo(*configs[0])[key] == SAMPLE[key]
+
+
+class TestSweepWidth:
+    @pytest.mark.parametrize("kind,grid", [("bottleneck", ["b=0,2"]),
+                                           ("data_size", ["frac=0.5,1.0", "b=2"]),
+                                           ("expressivity", ["b=2", "dfull=4"])])
+    def test_first_emb_is_the_model_width(self, kind, grid, dataset, capsys):
+        code, out, err = run(capsys, ["sweep", "--kind", kind, "--data",
+                                      str(dataset), "--csv", "emb=8,16"] + grid
+                             + SWEEP_COMMON[1:])
+        assert code == 0, err
+        rows = list(csv.DictReader(out.splitlines()))
+        assert rows and all(r["d"] == "8" for r in rows
+                            if r["mode"] == "adaptergnn" or kind != "expressivity")
+        if kind == "expressivity":
+            assert sorted(r["d"] for r in rows) == ["4", "8"]

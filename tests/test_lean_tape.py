@@ -13,7 +13,7 @@ import pytest
 from gnnpeft import tensor as T
 from gnnpeft.config import TrainConfig
 from gnnpeft.registry import ParamRegistry
-from gnnpeft.training import ADAM_CHUNK, Adam
+from gnnpeft.training import ADAM_BETAS, ADAM_CHUNK, ADAM_EPS, Adam
 
 from gradcheck import assert_grads_close
 
@@ -25,7 +25,7 @@ from gradcheck import assert_grads_close
 def oracle_adam_step(params, grads, m, v, t, cfg):
     """One Adam step over dicts of arrays, updated in place; ``t`` is the
     step number after the increment."""
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for name, data in params.items():
@@ -38,7 +38,7 @@ def oracle_adam_step(params, grads, m, v, t, cfg):
         v[name] += (1.0 - b2) * g * g
         mhat = m[name] / bc1
         vhat = v[name] / bc2
-        data -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+        data -= cfg.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def oracle_batchnorm_train(x, gamma, beta, running_mean, running_var, g,
