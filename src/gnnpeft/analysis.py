@@ -323,6 +323,9 @@ def estimate_flops(model: ModelConfig, peft: PeftConfig, batch_size: int,
         raise ValueError(f"phase must be train|infer, got {phase!r}")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
+    if not (0 < avg_nodes < math.inf and 0 <= avg_edges < math.inf):
+        raise ValueError("avg_nodes must be positive and avg_edges non-negative, "
+                         f"both finite; got {avg_nodes} and {avg_edges}")
     train_phase = phase == "train"
     w = _walk(model, peft, batch_size, train_phase, avg_nodes, avg_edges)
     variants = {}
@@ -344,14 +347,23 @@ SWEEP_COLUMNS = ("fingerprint", "mode", "d", "b", "n_train", "seed",
                  "train_err", "test_err", "test_auc", "gap", "trainable_frac")
 
 
+def _task_configs(task: dict, data) -> tuple[ModelConfig, PeftConfig, TrainConfig]:
+    """A sweep run's configs on the vocab and task count of a dataset or model."""
+    return (ModelConfig(emb_dim=task["d"], num_layers=task["layers"],
+                        num_tasks=data.num_tasks, dropout=task["dropout"],
+                        vocab=data.vocab),
+            PeftConfig(mode=task["mode"], bottleneck=task["b"]),
+            TrainConfig(epochs=task["epochs"], batch_size=task["batch_size"],
+                        lr=task["lr"], seed=task["seed"]))
+
+
 def _run_sweep_task(task: dict, train_ds: Dataset, test_ds: Dataset,
                     pretrained_state: Optional[tuple[dict, dict]]) -> dict:
-    model = ModelConfig(emb_dim=task["d"], num_layers=task["layers"],
-                        num_tasks=train_ds.num_tasks, dropout=task["dropout"],
-                        vocab=train_ds.vocab)
-    peft = PeftConfig(mode=task["mode"], bottleneck=task["b"])
-    tcfg = TrainConfig(epochs=task["epochs"], batch_size=task["batch_size"],
-                       lr=task["lr"], seed=task["seed"])
+    """One sweep row from its task dict, the sweep's split and, for a
+    pretrained task, the backbone staged for its (d, seed)."""
+    if "frac" in task:
+        train_ds = _subsample(train_ds, task["frac"], task["seed"])
+    model, peft, tcfg = _task_configs(task, train_ds)
     reg = init_params(model, seed=task["seed"])
     if pretrained_state is not None:
         reg.load_state(*pretrained_state)
@@ -379,75 +391,74 @@ def _subsample(ds: Dataset, frac: float, seed: int) -> Dataset:
     return ds.subset([int(i) for i in order[:k]])
 
 
+# kind -> (the grid argument it varies, the inits it takes, the runs at grid
+# value v as (mode, d, b, extra task keys) given the request's width d and
+# bottleneck b); expressivity's adapter arm recurs and is planned once
+SWEEP_KINDS = {
+    "model_size": ("d_grid", ("scratch", "pretrained"),
+                   lambda v, d, b, modes: [(m, v, b, {}) for m in modes]),
+    "data_size": ("frac_grid", ("scratch", "pretrained"),
+                  lambda v, d, b, modes: [(m, d, b, {"frac": v}) for m in modes]),
+    "bottleneck": ("b_grid", ("scratch", "pretrained"),
+                   lambda v, d, b, modes: [("adaptergnn", d, v, {})]),
+    "expressivity": ("d_full_grid", ("scratch",),
+                     lambda v, d, b, modes: [("adaptergnn", d, b, {}),
+                                             ("full", v, b, {})]),
+}
+
+
 def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
                train: TrainConfig = TrainConfig(),
                bottleneck: int = PeftConfig.bottleneck,
                d_grid: Sequence[int] = (), b_grid: Sequence[int] = (),
                frac_grid: Sequence[float] = (), d_full_grid: Sequence[int] = (),
                modes: Sequence[str] = ("full", "adaptergnn"),
-               init: str = "scratch", seeds: Sequence[int] = (0,),
-               ) -> list[dict]:
+               init: str = "scratch", pretrain_epochs: Optional[int] = None,
+               seeds: Sequence[int] = (0,)) -> list[dict]:
     """Expand a sweep request into per-run task dicts, validating every
-    grid point up front so bad grids fail before any work starts."""
-    if not seeds:
-        raise ConfigError("need at least one seed")
+    grid point up front so bad grids fail before any work starts. A task
+    holds every value its run reads but the data (a pretrained one its
+    pre-training epochs, ``train.epochs`` by default); a request value no
+    task carries is refused, not dropped."""
+    if kind not in SWEEP_KINDS:
+        raise ConfigError(f"unknown sweep kind {kind!r}")
+    grid_arg, inits, runs = SWEEP_KINDS[kind]
+    grid = dict(d_grid=d_grid, b_grid=b_grid, frac_grid=frac_grid,
+                d_full_grid=d_full_grid)[grid_arg]
+    if not grid or not seeds:
+        raise ConfigError(f"{kind} sweep needs {grid_arg} and at least one seed")
+    if init not in inits:
+        raise ConfigError(f"{kind} sweep takes init {'|'.join(inits)}, got {init!r}")
+    if pretrain_epochs is not None and init != "pretrained":
+        raise ConfigError("pretrain_epochs needs init=pretrained")
+    if (model.mlp_hidden, train.weight_decay) != (ModelConfig.mlp_hidden,
+                                                  TrainConfig.weight_decay):
+        raise ConfigError("sweep runs keep the default mlp_hidden and weight_decay")
     base = {"layers": model.num_layers, "dropout": model.dropout,
             "epochs": train.epochs, "batch_size": train.batch_size,
             "lr": train.lr, "kind": kind, "init": init}
+    if init == "pretrained":
+        base["pretrain_epochs"] = (train.epochs if pretrain_epochs is None
+                                   else pretrain_epochs)
     tasks: list[dict] = []
-    if kind == "model_size":
-        if not d_grid:
-            raise ConfigError("model_size sweep needs d_grid")
-        for d in d_grid:
-            for mode in modes:
-                for s in seeds:
-                    tasks.append(dict(base, mode=mode, d=d, b=bottleneck, seed=s))
-    elif kind == "data_size":
-        if not frac_grid:
-            raise ConfigError("data_size sweep needs frac_grid")
-        for frac in frac_grid:
-            if not 0.0 < frac <= 1.0:
-                raise ConfigError(f"data fraction must be in (0, 1], got {frac}")
-            for mode in modes:
-                for s in seeds:
-                    tasks.append(dict(base, mode=mode, d=model.emb_dim,
-                                      b=bottleneck, seed=s, frac=frac))
-    elif kind == "bottleneck":
-        if not b_grid:
-            raise ConfigError("bottleneck sweep needs b_grid")
-        for b in b_grid:
+    for v in grid:
+        for mode, d, b, extra in runs(v, model.emb_dim, bottleneck, modes):
             for s in seeds:
-                tasks.append(dict(base, mode="adaptergnn", d=model.emb_dim,
-                                  b=b, seed=s))
-    elif kind == "expressivity":
-        if not d_full_grid:
-            raise ConfigError("expressivity sweep needs d_full_grid")
-        for s in seeds:
-            tasks.append(dict(base, mode="adaptergnn", d=model.emb_dim,
-                              b=bottleneck, seed=s, init="scratch"))
-        for d in d_full_grid:
-            for s in seeds:
-                tasks.append(dict(base, mode="full", d=d, b=bottleneck, seed=s,
-                                  init="scratch"))
-    else:
-        raise ConfigError(f"unknown sweep kind {kind!r}")
+                task = dict(base, mode=mode, d=d, b=b, seed=s, **extra)
+                if task not in tasks:
+                    tasks.append(task)
     for t in tasks:
-        check_fits(ModelConfig(emb_dim=t["d"], num_layers=t["layers"]),
-                   PeftConfig(mode=t["mode"], bottleneck=t["b"]))
+        if not 0.0 < t.get("frac", 1.0) <= 1.0:
+            raise ConfigError(f"data fraction must be in (0, 1], got {t['frac']}")
+        check_fits(*_task_configs(t, model)[:2])
     return tasks
 
 
-def sweep(kind: str, dataset: Dataset, *, model: ModelConfig = ModelConfig(),
-          train: TrainConfig = TrainConfig(),
-          bottleneck: int = PeftConfig.bottleneck,
-          d_grid: Sequence[int] = (), b_grid: Sequence[int] = (),
-          frac_grid: Sequence[float] = (), d_full_grid: Sequence[int] = (),
-          modes: Sequence[str] = ("full", "adaptergnn"),
-          init: str = "scratch", pretrain_epochs: Optional[int] = None,
-          seeds: Sequence[int] = (0,), jobs: int = 1,
+def sweep(kind: str, dataset: Dataset, *, jobs: int = 1,
           split_spec: SplitSpec = SplitSpec(mode="structure"),
-          ) -> list[dict]:
-    """Run one of the four experiment recipes and return result rows.
+          **plan) -> list[dict]:
+    """Run one of the four experiment recipes and return result rows;
+    ``plan`` holds ``sweep_plan``'s keywords.
 
     model_size — vary embedding width d (MLP hidden stays 2d) for each
         mode; ``init="pretrained"`` first runs edge-prediction
@@ -458,37 +469,28 @@ def sweep(kind: str, dataset: Dataset, *, model: ModelConfig = ModelConfig(),
     expressivity — dual-adapter structure over a frozen random backbone
         vs. plain full training at the widths in ``d_full_grid``.
 
-    Rows are sorted by fingerprint; every row regenerates bitwise from
-    its fingerprinted config. Each finished run prints one progress line
+    Rows are sorted by fingerprint, the hash of the row's task dict
+    (``row["record"].config``); ``_run_sweep_task`` regenerates the row
+    bitwise from that dict. Each finished run prints one progress line
     (k/N, elapsed time, ETA) to stderr.
     """
-    tasks = sweep_plan(kind, model=model, train=train, bottleneck=bottleneck,
-                       d_grid=d_grid, b_grid=b_grid, frac_grid=frac_grid,
-                       d_full_grid=d_full_grid, modes=modes, init=init,
-                       seeds=seeds)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    tasks = sweep_plan(kind, **plan)
     train_ds, _, test_ds = split(dataset, split_spec, seed=0)
     start = time.perf_counter()
 
     # stage pre-trained backbones, shared across modes per (d, seed)
     staged: dict[tuple[int, int], tuple[dict, dict]] = {}
-    if init == "pretrained" and kind != "expressivity":
-        pe = pretrain_epochs if pretrain_epochs is not None else train.epochs
-        for key in sorted({(t["d"], t["seed"]) for t in tasks}):
-            d, s = key
-            mcfg = ModelConfig(emb_dim=d, num_layers=model.num_layers,
-                               num_tasks=dataset.num_tasks,
-                               dropout=model.dropout, vocab=dataset.vocab)
-            pcfg = TrainConfig(epochs=pe, batch_size=train.batch_size,
-                               lr=train.lr, seed=s)
-            staged[key] = encoder_state(pretrain_edgepred(train_ds, mcfg, pcfg)[0])
+    for t in tasks:
+        if t["init"] == "pretrained" and (t["d"], t["seed"]) not in staged:
+            mcfg, _, tcfg = _task_configs(t, train_ds)
+            pre = pretrain_edgepred(train_ds, mcfg,
+                                    replace(tcfg, epochs=t["pretrain_epochs"]))
+            staged[t["d"], t["seed"]] = encoder_state(pre[0])
 
-    def job_args(task: dict):
-        tds = train_ds
-        if "frac" in task:
-            tds = _subsample(train_ds, task["frac"], task["seed"])
-        state = staged.get((task["d"], task["seed"]))
-        return task, tds, test_ds, state
-
+    jobs_args = [(t, train_ds, test_ds, staged.get((t["d"], t["seed"])))
+                 for t in tasks]
     rows: list[dict] = []
     runs_start = time.perf_counter()
 
@@ -502,12 +504,12 @@ def sweep(kind: str, dataset: Dataset, *, model: ModelConfig = ModelConfig(),
 
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_sweep_task, *job_args(t)) for t in tasks]
+            futures = [pool.submit(_run_sweep_task, *a) for a in jobs_args]
             for future in concurrent.futures.as_completed(futures):
                 finished(future.result())
     else:
-        for t in tasks:
-            finished(_run_sweep_task(*job_args(t)))
+        for a in jobs_args:
+            finished(_run_sweep_task(*a))
     rows.sort(key=lambda r: r["fingerprint"])
     return rows
 

@@ -10,7 +10,8 @@ fingerprint so identical requests collide instead of duplicating.
 ``RUN_KEYS`` is the one schema of a run's configuration: each key is a
 ``ModelConfig``/``PeftConfig``/``TrainConfig`` field (``vocab`` is split into
 ``node_vocab``/``edge_vocab``), a config-file key, a ``config.txt`` line and
-its flag's argparse dest. Defaults live only in those dataclasses.
+its flag's argparse dest; a sweep's scalar keys set run keys (``SCALAR_KEYS``)
+or ``sweep_plan`` keywords. Defaults live only in those dataclasses.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import shutil
 import sys
 from typing import Optional, Sequence
 
-from .analysis import (bound, BoundInput, count_params, estimate_flops,
-                       hoeffding_gap, log_hypothesis_size_for, sweep,
-                       sweep_csv, sweep_plan)
+from .analysis import (SWEEP_KINDS, bound, BoundInput, count_params,
+                       estimate_flops, hoeffding_gap, log_hypothesis_size_for,
+                       sweep, sweep_csv, sweep_plan)
 from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                      config_fingerprint)
 from .graphs import (DatasetFormatError, SplitSpec, Vocab,
@@ -146,16 +147,13 @@ CONFIGS = (ModelConfig, PeftConfig, TrainConfig)
 
 
 def _add_run_flags(p: _Parser, *configs) -> None:
-    """``--config`` and one flag per run key of the config classes
-    ``configs``; every command that takes run flags accepts ``--seed``."""
+    """``--config`` and one flag per run key of the config classes ``configs``."""
     fields = {f.name for cls in configs for f in dataclasses.fields(cls)}
     keys = [k for k in RUN_KEYS if ("vocab" if k in VOCAB_KEYS else k) in fields]
     p.add_argument("--config")
     for key in keys:
         flag, cast = RUN_KEYS[key]
         p.add_argument(flag, dest=key, metavar=_METAVARS.get(cast))
-    if "seed" not in keys:
-        p.add_argument("--seed")
     p.set_defaults(run_keys=keys)
 
 
@@ -343,8 +341,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _task_meta(path, meta: dict) -> tuple[dict, int, str]:
-    """(config echo, seed, backbone ref) from a task checkpoint's meta."""
+def _task_meta(path, meta: dict) -> tuple[ModelConfig, PeftConfig, int, str]:
+    """(model config, tuning config, seed, backbone ref) from a task checkpoint's
+    meta; a config value that fails casting or validation is the file's fault."""
     cfg, seed = meta.get("config"), meta.get("seed")
     ref = meta.get("backbone_ref", "")
     for key, value, ok, want in (
@@ -355,16 +354,19 @@ def _task_meta(path, meta: dict) -> tuple[dict, int, str]:
         if not ok:
             raise CheckpointFormatError(
                 f"{path}: task checkpoint meta {key!r} must be {want}, got {value!r}")
-    return cfg, seed, ref
+    try:
+        model, peft, _ = build_run_configs({k: str(v) for k, v in cfg.items()
+                                            if k in RUN_KEYS})
+    except UsageError as exc:
+        raise CheckpointFormatError(f"{path}: task checkpoint config: {exc}") from None
+    return model, peft, seed, ref
 
 
 def cmd_eval(args) -> int:
     meta, params, buffers = load_checkpoint(args.ckpt)
     if meta.get("kind") != "task":
         raise CheckpointFormatError(f"{args.ckpt} is not a task checkpoint")
-    cfg, seed, ref = _task_meta(args.ckpt, meta)
-    model, peft, train = build_run_configs(
-        {k: v for k, v in cfg.items() if k in RUN_KEYS})
+    model, peft, seed, ref = _task_meta(args.ckpt, meta)
     ds = load_jsonl(args.data, vocab=model.vocab)
     model = dataclasses.replace(model, num_tasks=ds.num_tasks)
     reg = init_params(model, seed=seed)
@@ -401,11 +403,11 @@ def cmd_eval(args) -> int:
 GRID_KEYS = {"emb": ("d_grid", _cast_int), "b": ("b_grid", _cast_int),
              "frac": ("frac_grid", _cast_float), "dfull": ("d_full_grid", _cast_int),
              "mode": ("modes", _cast_str), "seed": ("seeds", _cast_int)}
-SCALAR_KEYS = {"layers": _cast_int, "epochs": _cast_int,
-               "batch_size": _cast_int, "lr": _cast_float,
-               "dropout": _cast_float, "init": _cast_str,
-               "pretrain_epochs": _cast_int, "node_vocab": _cast_pair,
-               "edge_vocab": _cast_pair}
+# sweep scalar key -> the run key it sets (and whose caster it uses)
+SCALAR_KEYS = {"layers": "num_layers", "epochs": "epochs", "batch_size": "batch_size",
+               "lr": "lr", "dropout": "dropout", **{k: k for k in VOCAB_KEYS}}
+# sweep scalar key -> caster, for sweep_plan's own scalar keywords
+PLAN_KEYS = {"init": _cast_str, "pretrain_epochs": _cast_int}
 
 
 def _parse_sweep_grid(pairs: Sequence[str], config_path) -> tuple[dict, dict]:
@@ -420,10 +422,11 @@ def _parse_sweep_grid(pairs: Sequence[str], config_path) -> tuple[dict, dict]:
     for key, val in raw.items():
         if key in GRID_KEYS:
             grids[key] = [GRID_KEYS[key][1](key, p) for p in val.split(",")]
-        elif key in SCALAR_KEYS:
+        elif key in SCALAR_KEYS or key in PLAN_KEYS:
             if "," in val and key not in VOCAB_KEYS:
                 raise UsageError(f"{key} does not sweep; got list {val!r}")
-            scalars[key] = SCALAR_KEYS[key](key, val)
+            cast = PLAN_KEYS.get(key) or RUN_KEYS[SCALAR_KEYS[key]][1]
+            scalars[key] = cast(key, val)
         else:
             raise UsageError(f"unknown sweep key {key!r}")
     return grids, scalars
@@ -434,28 +437,24 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs --out and/or --csv")
     grids, scalars = _parse_sweep_grid(args.grid, args.config)
     # the run keys given; the first emb is the width of kinds that do not vary d
-    given = {"num_layers" if k == "layers" else k: v for k, v in scalars.items()
-             if k not in ("init", "pretrain_epochs")}
+    given = {SCALAR_KEYS[k]: v for k, v in scalars.items() if k in SCALAR_KEYS}
     if "emb" in grids:
         given["emb_dim"] = grids["emb"][0]
     model, _, train = build_run_configs(given)
     kw = {arg: tuple(grids[k]) for k, (arg, _) in GRID_KEYS.items() if k in grids}
     if "b" in grids:
         kw["bottleneck"] = grids["b"][0]
-    if "init" in scalars:
-        kw["init"] = scalars["init"]
-    kw.update(model=model, train=train)
+    kw.update({k: v for k, v in scalars.items() if k in PLAN_KEYS},
+              model=model, train=train)
     plan = sweep_plan(args.kind, **kw)
     if len(plan) > CONFIRM_LIMIT and not args.yes:
         raise UsageError(f"sweep expands to {len(plan)} runs "
                          f"(> {CONFIRM_LIMIT}); pass --yes to confirm")
     echo = {"command": "sweep", "kind": args.kind, "data": args.data,
-            **{k: _fmt(v) for k, v in sorted(scalars.items())},
-            **{k: _fmt(v) for k, v in sorted(grids.items())}}
+            **{k: _fmt(v) for k, v in {**scalars, **grids}.items()}}
     fp = config_fingerprint(echo)
     ds = load_jsonl(args.data, vocab=model.vocab)
-    rows = sweep(args.kind, ds, jobs=args.jobs,
-                 pretrain_epochs=scalars.get("pretrain_epochs"), **kw)
+    rows = sweep(args.kind, ds, jobs=args.jobs, **kw)
     text = sweep_csv(rows)
     if args.out:
         run_dir = prepare_run_dir(args.out, fp, args.force)
@@ -559,7 +558,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tasks", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("pretrain", help="edge-prediction pre-training")
@@ -591,14 +589,10 @@ def build_parser() -> _Parser:
                    default="structure")
     p.add_argument("--fractions", default="0.8,0.1,0.1")
     p.add_argument("--out")
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--seed", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="run an experiment grid")
-    p.add_argument("--kind", required=True,
-                   choices=("model_size", "data_size", "bottleneck",
-                            "expressivity"))
+    p.add_argument("--kind", required=True, choices=tuple(SWEEP_KINDS))
     p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.add_argument("--csv", action="store_true",
@@ -607,11 +601,9 @@ def build_parser() -> _Parser:
     p.add_argument("--yes", action="store_true")
     p.add_argument("--force", action="store_true")
     p.add_argument("--config")
-    p.add_argument("--seed", default=None, help=argparse.SUPPRESS)
     p.add_argument("grid", nargs="*", metavar="key=value",
-                   help="grid keys: emb, b, frac, dfull, mode, seed "
-                        "(comma lists); scalars: layers, epochs, batch_size, "
-                        "lr, dropout, init, pretrain_epochs")
+                   help=f"grid keys: {', '.join(GRID_KEYS)} (comma lists); "
+                        f"scalars: {', '.join([*SCALAR_KEYS, *PLAN_KEYS])}")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("count-params", help="exact parameter counts")
@@ -637,8 +629,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--train-error", type=float, default=None)
     p.add_argument("--out")
-    p.add_argument("--config", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--seed", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_bound)
     return top
 

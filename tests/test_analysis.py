@@ -2,6 +2,7 @@
 the FLOPs hand ledger, sweep plumbing, and gap-report assembly."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -10,16 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnnpeft.analysis import (BoundInput, FLOP_COSTS, GapReport, PairingError,
-                              bound, compute_gaps, count_params,
+                              _run_sweep_task, _task_configs, bound,
+                              compute_gaps, count_params,
                               estimate_flops, hoeffding_gap,
                               log_hypothesis_size_for, sweep, sweep_csv,
                               sweep_plan, SWEEP_COLUMNS)
 from gnnpeft.config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                             config_fingerprint)
-from gnnpeft.graphs import Vocab, generate_synthetic
+from gnnpeft.graphs import SplitSpec, Vocab, generate_synthetic, split
 from gnnpeft.model import init_params
 from gnnpeft.peft import apply_peft
-from gnnpeft.training import RunRecord
+from gnnpeft.training import RunRecord, encoder_state, pretrain_edgepred
 
 VOCAB = Vocab((2, 2), (2, 2))
 GEN = dict(node_range=(6, 12), edge_prob=0.5, vocab=VOCAB)
@@ -216,6 +218,12 @@ class TestFlops:
                            phase="predict")
         with pytest.raises(ValueError):
             estimate_flops(ledger_model(), PeftConfig(mode="full"), 0)
+        for nodes, edges in ((0.0, 13.0), (-5.0, 13.0), (math.nan, 13.0),
+                             (math.inf, 13.0), (12.0, -1.0), (12.0, math.nan),
+                             (12.0, math.inf)):
+            with pytest.raises(ValueError, match="avg_nodes must be positive"):
+                estimate_flops(ledger_model(), PeftConfig(mode="full"), 1,
+                               avg_nodes=nodes, avg_edges=edges)
 
 
 def tiny_dataset(n=60, seed=3, tasks=2):
@@ -277,6 +285,21 @@ class TestSweep:
                   model=ModelConfig(emb_dim=8, vocab=VOCAB), b_grid=(8,))
         with pytest.raises(ConfigError):
             sweep("nonsense", ds, d_grid=(8,))
+        # values no task carries are refused, not dropped
+        small = dict(model=ModelConfig(emb_dim=6, vocab=VOCAB), d_grid=(6,),
+                     modes=("full",))
+        for kind, kw, message in (
+                ("model_size", dict(init="bogus"), "takes init scratch|pretrained"),
+                ("model_size", dict(pretrain_epochs=3), "needs init=pretrained"),
+                ("expressivity", dict(d_full_grid=(4,), init="pretrained"),
+                 "expressivity sweep takes init scratch, got 'pretrained'"),
+                ("model_size", dict(model=ModelConfig(mlp_hidden=3)), "mlp_hidden"),
+                ("model_size", dict(train=TrainConfig(weight_decay=0.5)),
+                 "weight_decay"),
+                ("model_size", dict(jobs=0), "jobs must be >= 1"),
+                ("model_size", dict(jobs=-1), "jobs must be >= 1")):
+            with pytest.raises(ConfigError, match=message):
+                sweep(kind, ds, **{**small, **kw})
 
     @pytest.mark.parametrize("kind, grid", [
         ("model_size", dict(d_grid=(32, 8), modes=("full", "adaptergnn"))),
@@ -289,6 +312,67 @@ class TestSweep:
         model = ModelConfig(emb_dim=8, num_layers=2, vocab=VOCAB)
         with pytest.raises(ConfigError, match="must be < emb_dim 8"):
             sweep_plan(kind, model=model, bottleneck=15, **grid)
+
+    # literal row fingerprints of one small scratch sweep per kind: a
+    # fingerprint names a run, so how a plan is built must not move it
+    ORACLE = {
+        "model_size": (dict(d_grid=(6, 8), modes=("full", "adaptergnn")),
+                       ["1e0d0098f67e4ce3", "243d4be067599cda", "3b2d9e053c8759b9",
+                        "51ca99455e86237d", "5de987ad909c7eee", "a74dfbe828509b8a",
+                        "ebca355334827e07", "f4ddb613f59b2d6b"]),
+        "data_size": (dict(frac_grid=(0.5,), modes=("full", "adaptergnn")),
+                      ["6a7103f329d6d2b8", "7191dac79f319fc8", "a58a5ddc07dd3ac8",
+                       "a915478269c06cdf"]),
+        "bottleneck": (dict(b_grid=(0, 2)),
+                       ["4aab2256b45970c2", "806c767f8185f88a", "cc0e697a4188c0c2",
+                        "fc29200587eedc8d"]),
+        "expressivity": (dict(d_full_grid=(4, 8)),
+                         ["01f9b5ed6278184e", "44ca2ce0c84e63fa", "49f966ec717555c1",
+                          "90e578d05a18493a", "a81602abda230c19", "eb25a58bf5792826"]),
+    }
+
+    @staticmethod
+    def assert_rows_regenerate(ds, rows):
+        """Each row is rebuilt byte-identically from its task dict alone
+        (plus, for a pretrained task, a backbone pre-trained from it)."""
+        train_ds, _, test_ds = split(ds, SplitSpec(mode="structure"), seed=0)
+        for row in rows:
+            task = dict(row["record"].config)
+            state = None
+            if task["init"] == "pretrained":
+                model, _, train = _task_configs(task, train_ds)
+                state = encoder_state(pretrain_edgepred(
+                    train_ds, model, replace(train, epochs=task["pretrain_epochs"]))[0])
+            again = _run_sweep_task(task, train_ds, test_ds, state)
+            assert sweep_csv([again]) == sweep_csv([row])
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE))
+    def test_fingerprints_and_regeneration(self, kind):
+        ds = tiny_dataset()
+        grid, fingerprints = self.ORACLE[kind]
+        model = ModelConfig(emb_dim=6, num_layers=1, num_tasks=2, dropout=0.0,
+                            vocab=VOCAB)
+        rows = sweep(kind, ds, model=model, train=fast_train(), bottleneck=2,
+                     seeds=(0, 1), **grid)
+        assert [r["fingerprint"] for r in rows] == fingerprints
+        self.assert_rows_regenerate(ds, rows)
+
+    def test_pretrain_epochs_name_the_row(self):
+        ds = tiny_dataset()
+        model = ModelConfig(emb_dim=6, num_layers=1, num_tasks=2, dropout=0.0,
+                            vocab=VOCAB)
+        runs = [sweep("model_size", ds, model=model, train=fast_train(),
+                      bottleneck=2, d_grid=(6,), modes=("adaptergnn",),
+                      init="pretrained", pretrain_epochs=pe) for pe in (1, 3)]
+        assert runs[0][0]["record"].config["pretrain_epochs"] == 1
+        assert runs[0][0]["fingerprint"] != runs[1][0]["fingerprint"]
+        assert runs[0][0]["record"].train_loss != runs[1][0]["record"].train_loss
+        self.assert_rows_regenerate(ds, runs[0] + runs[1])
+        # unset, pre-training runs train.epochs, and the row says so
+        (row,) = sweep("model_size", ds, model=model, train=fast_train(),
+                       bottleneck=2, d_grid=(6,), modes=("adaptergnn",),
+                       init="pretrained")
+        assert row["record"].config["pretrain_epochs"] == fast_train().epochs
 
     def test_bottleneck_zero_allowed(self):
         ds = tiny_dataset()

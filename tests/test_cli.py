@@ -309,7 +309,10 @@ class TestWorkflow:
                   "seed": {k: v for k, v in meta.items() if k != "seed"}}
         for key, value in (("seed", "0"), ("seed", True), ("seed", 1.5),
                            ("config", ["emb_dim"]), ("backbone_ref", 7),
-                           ("backbone_ref", None)):
+                           ("backbone_ref", None),
+                           ("config", {**meta["config"], "emb_dim": "-1"}),
+                           ("config", {**meta["config"], "dropout": "high"}),
+                           ("config", {**meta["config"], "emb_dim": [8]})):
             broken[f"{key}={value!r}"] = {**meta, key: value}
         for label, bad_meta in broken.items():
             path = tmp_path / "bad_meta.ckpt"
@@ -585,6 +588,10 @@ class TestFlopsCommand:
         assert code == 1
 
 
+SWEEP_ONE = ["sweep", "--kind", "model_size", "--csv", "emb=6", "mode=full",
+             "epochs=1"]
+
+
 class TestBadFlagValues:
     """A value a constructor refuses is a one-line usage error, raised
     before any output is written."""
@@ -605,6 +612,34 @@ class TestBadFlagValues:
         "sweep-node-vocab": (["sweep", "--kind", "model_size", "--csv", "emb=6",
                               "mode=full", "epochs=1", "node_vocab=0,2"],
                              "vocab sizes must be two positive ints"),
+        "sweep-init": (SWEEP_ONE + ["init=bogus"],
+                       "model_size sweep takes init scratch|pretrained, got 'bogus'"),
+        "sweep-pretrain-epochs-from-scratch": (SWEEP_ONE + ["pretrain_epochs=3"],
+                                               "pretrain_epochs needs init=pretrained"),
+        "sweep-expressivity-pretrained": (
+            ["sweep", "--kind", "expressivity", "--csv", "emb=8", "b=2", "dfull=4",
+             "epochs=1", "init=pretrained"],
+            "expressivity sweep takes init scratch, got 'pretrained'"),
+        # 0 and -1 start no worker process
+        "sweep-jobs-0": (SWEEP_ONE + ["--jobs", "0"], "jobs must be >= 1, got 0"),
+        "sweep-jobs-negative": (SWEEP_ONE + ["--jobs", "-1"], "jobs must be >= 1, got -1"),
+        "flops-avg-nodes": (["flops", "--avg-nodes", "-5", "--emb", "8", "--layers", "1"],
+                            "avg_nodes must be positive"),
+        "flops-avg-edges": (["flops", "--avg-edges", "nan", "--emb", "8"],
+                            "avg_edges non-negative, both finite"),
+        # flags nothing reads are refused
+        "count-params-seed": (["count-params", "--emb", "8", "--seed", "7"],
+                              "unrecognized arguments: --seed 7"),
+        "flops-seed": (["flops", "--seed", "7"], "unrecognized arguments: --seed 7"),
+        "eval-seed-config": (["eval", "--data", "d.jsonl", "--ckpt", "t.ckpt",
+                              "--config", "none.cfg", "--seed", "5"],
+                             "unrecognized arguments: --config none.cfg --seed 5"),
+        "bound-seed-config": (["bound", "--n", "10", "--delta", "0.1", "--params", "3",
+                               "--seed", "1", "--config", "none.cfg"],
+                              "unrecognized arguments: --seed 1 --config none.cfg"),
+        "gen-data-config": (["gen-data", "--config", "none.cfg"],
+                            "unrecognized arguments: --config none.cfg"),
+        "sweep-seed": (SWEEP_ONE + ["--seed", "3"], "unrecognized arguments: --seed 3"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -673,13 +708,12 @@ class TestRunKeySchema:
     def test_each_flag_sets_the_parents_key(self, command, key):
         required, keys = RUN_COMMANDS[command]
         argv = [command] + required + [_flag(key), SAMPLE[key]]
-        if key not in keys and key != "seed":
+        if key not in keys:
+            # a flag the command does not read is refused, --seed included
             with pytest.raises(UsageError, match="unrecognized arguments"):
                 build_parser().parse_args(argv)
             return
-        merged = merge_config(build_parser().parse_args(argv))
-        # every run command takes --seed, but only a trained one reads it
-        assert merged == ({key: SAMPLE[key]} if key in keys else {})
+        assert merge_config(build_parser().parse_args(argv)) == {key: SAMPLE[key]}
 
     @pytest.mark.parametrize("command", sorted(RUN_COMMANDS))
     def test_file_keys_outside_the_command_are_refused(self, command, tmp_path):
