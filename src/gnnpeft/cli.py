@@ -408,6 +408,10 @@ SCALAR_KEYS = {"layers": "num_layers", "epochs": "epochs", "batch_size": "batch_
                "lr": "lr", "dropout": "dropout", **{k: k for k in VOCAB_KEYS}}
 # sweep scalar key -> caster, for sweep_plan's own scalar keywords
 PLAN_KEYS = {"init": _cast_str, "pretrain_epochs": _cast_int}
+# grid key -> the kinds that read it; every kind reads emb, b and seed (one
+# that does not vary d or b takes their first value)
+KIND_GRID_KEYS = {"mode": ("model_size", "data_size"), "frac": ("data_size",),
+                  "dfull": ("expressivity",)}
 
 
 def _parse_sweep_grid(pairs: Sequence[str], config_path) -> tuple[dict, dict]:
@@ -436,6 +440,10 @@ def cmd_sweep(args) -> int:
     if not args.out and not args.csv:
         raise UsageError("sweep needs --out and/or --csv")
     grids, scalars = _parse_sweep_grid(args.grid, args.config)
+    unread = [k for k, kinds in KIND_GRID_KEYS.items()
+              if k in grids and args.kind not in kinds]
+    if unread:  # they would only fork the sweep's fingerprint
+        raise UsageError(f"a {args.kind} sweep does not read {', '.join(unread)}")
     # the run keys given; the first emb is the width of kinds that do not vary d
     given = {SCALAR_KEYS[k]: v for k, v in scalars.items() if k in SCALAR_KEYS}
     if "emb" in grids:

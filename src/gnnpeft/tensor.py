@@ -17,10 +17,11 @@ Conventions:
   * everything is float64 (checkpoints downcast to float32 on disk);
   * an op is recorded only while a tape is active and at least one input
     has ``requires_grad``, so frozen subgraphs cost no backward work;
-  * a leaf tensor that requires grad owns a preallocated ``grad`` buffer
-    that gradients are added into in place; an op output has a gradient
-    only during the reverse sweep, from its first incoming gradient until
-    its own backward rule has run;
+  * a leaf tensor that requires grad has a ``grad`` buffer only from its
+    first gradient in a sweep until ``zero_grad`` drops it (the optimizer
+    step reads it in between); later gradients are added into it in
+    place. An op output has a gradient only during the reverse sweep,
+    from its first incoming gradient until its own backward rule has run;
   * one sweep consumes a tape;
   * stochastic ops take an explicit :class:`~gnnpeft.rng.RngStream`.
 """
@@ -47,14 +48,17 @@ class EmptyLossError(ValueError):
 
 
 class Tensor:
-    """A dense array plus an optional gradient buffer and tape handle."""
+    """A dense array plus an optional gradient buffer and tape handle.
+
+    ``grad`` is None until a sweep delivers a gradient; None reads as zeros.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "tape_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        self.grad: Optional[np.ndarray] = None
         self.tape_node: Optional["TapeNode"] = None
 
     @property
@@ -62,16 +66,12 @@ class Tensor:
         return self.data.shape
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad.fill(0.0)
+        self.grad = None
 
     def set_requires_grad(self, flag: bool) -> None:
-        flag = bool(flag)
-        if flag and self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        elif not flag:
+        self.requires_grad = bool(flag)
+        if not flag:
             self.grad = None
-        self.requires_grad = flag
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -100,9 +100,9 @@ class Tape:
     order by construction. ``backward`` visits each node exactly once in
     reverse and drops it, with its output's gradient, as soon as its rule
     has run: by then every consumer of that output has been visited, so
-    activations and gradients are freed during the sweep. Leaf gradients
-    accumulate in place into the leaves' own ``grad`` buffers. The sweep
-    consumes the tape; a second ``backward`` raises
+    activations and gradients are freed during the sweep. A leaf's first
+    gradient creates its ``grad`` buffer and later ones accumulate into it
+    in place. The sweep consumes the tape; a second ``backward`` raises
     :class:`TapeConsumedError`.
 
     Leaving the ``with`` block releases whatever is still recorded:
@@ -174,29 +174,34 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray,
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
-    """Add gradient ``g`` into ``t.grad``, or into its ``rows`` when given.
+def _accumulate(t: Tensor, g: np.ndarray, rows: Optional[np.ndarray] = None,
+                owned: bool = False) -> None:
+    """Add gradient ``g`` into ``t.grad``, or into its ``rows`` when given;
+    a missing ``t.grad`` is zeros.
 
-    A leaf adds in place into the buffer it owns. An op output takes its
-    first whole gradient as is; later ones, and row updates, are added out
-    of place, so an array that also reached another tensor (``add`` hands
-    the same ``g`` to both inputs) is never written.
+    A leaf's first gradient becomes a buffer of its own: ``g + 0.0``, or g
+    itself plus 0.0 in place when the caller ``owned`` it (a fresh product
+    no other tensor sees); either rounds as adding g into zeros, -0.0
+    included. Later ones are added into that buffer in place. An op output
+    takes its first whole gradient as is; later ones, and row updates, are
+    added out of place. So an array that also reached another tensor
+    (``add`` hands the same ``g`` to both inputs) is never written or kept
+    by a leaf.
     """
-    if t.tape_node is None:
-        if t.grad is None:  # the output of a tape already swept or released
-            t.grad = np.zeros_like(t.data)
-        if rows is None:
+    leaf = t.tape_node is None  # or the output of a tape already swept or released
+    if t.grad is None and rows is None:
+        t.grad = np.add(g, 0.0, out=g if owned else None) if leaf else g
+    elif rows is None:
+        if leaf:
             t.grad += g
         else:
-            t.grad[rows] += g
-    elif rows is not None:
-        full = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-        full[rows] += g
-        t.grad = full
-    elif t.grad is None:
-        t.grad = g
+            t.grad = t.grad + g
     else:
-        t.grad = t.grad + g
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        elif not leaf:
+            t.grad = t.grad.copy()
+        t.grad[rows] += g
 
 
 class LowRank:
@@ -277,7 +282,7 @@ def matmul(a: "Tensor | LowRank", b: Tensor, bias: Optional[Tensor] = None) -> T
             if a.requires_grad:
                 _accumulate(a, _matmul_rows(g, b.data.T))
             if b.requires_grad:
-                _accumulate(b, a.data.T @ g)
+                _accumulate(b, a.data.T @ g, owned=True)
         return backward
 
     inputs = (a, b) if bias is None else (a, b, bias)

@@ -16,6 +16,8 @@ import csv
 import io
 import json
 import os
+import resource
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -58,6 +60,9 @@ ADAM_CHUNK = 1 << 14
 # moment decay rates and denominator offset, the textbook values; no run varies them
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# evaluation forwards graphs in chunks whose widest activation holds at most
+# this many floats (8 MB): 1,024 rows at d=512, a whole trend split at d<=128
+EVAL_BUDGET = 1 << 20
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
@@ -74,7 +79,10 @@ class Adam:
     The update runs in place over flat views of each parameter, its
     gradient and both moments, ``ADAM_CHUNK`` elements at a time, through
     two preallocated scratch rows; it performs the same floating-point
-    operations in the same order as the textbook whole-array form.
+    operations in the same order as the textbook whole-array form. A
+    parameter that got no gradient (``grad`` is None) is updated through
+    the same operations with a gradient of zeros, read from a preallocated
+    row of them.
     """
 
     def __init__(self, registry: ParamRegistry, cfg: TrainConfig):
@@ -86,6 +94,7 @@ class Adam:
         self.t = 0
         width = min(ADAM_CHUNK, max((t.data.size for _, t in self.slots), default=0))
         self._scratch = np.empty((2, width))
+        self._zeros = np.zeros(width)
 
     def step(self) -> None:
         self.t += 1
@@ -94,13 +103,14 @@ class Adam:
         bc2 = 1.0 - b2 ** self.t
         lr, eps, wd = self.cfg.lr, ADAM_EPS, self.cfg.weight_decay
         for name, tensor in self.slots:
-            p, grad = _flat(tensor.data), _flat(tensor.grad)
+            p = _flat(tensor.data)
+            grad = None if tensor.grad is None else _flat(tensor.grad)
             m, v = _flat(self.m[name]), _flat(self.v[name])
             for lo in range(0, p.size, ADAM_CHUNK):
                 hi = min(lo + ADAM_CHUNK, p.size)
                 pc, mc, vc = p[lo:hi], m[lo:hi], v[lo:hi]
                 s, u = self._scratch[0, :hi - lo], self._scratch[1, :hi - lo]
-                g = grad[lo:hi]
+                g = self._zeros[:hi - lo] if grad is None else grad[lo:hi]
                 if wd:
                     np.multiply(pc, wd, out=s)
                     s += g  # g + wd·p
@@ -200,6 +210,13 @@ def environment_stamp() -> dict:
             "threads": {v: os.environ.get(v) for v in THREAD_ENV_VARS}}
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set size in MB (``ru_maxrss`` counts
+    kilobytes on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 @dataclass
 class RunRecord:
     """Per-epoch metrics plus the config fingerprint that reproduces them,
@@ -252,9 +269,11 @@ class RunRecord:
         return buf.getvalue()
 
     def timings(self) -> dict:
-        """Per-epoch train and evaluation seconds plus the environment."""
+        """Per-epoch train and evaluation seconds, the process's peak RSS so
+        far, and the environment."""
         return {"epochs": [{"epoch": e + 1, "train_s": t, "eval_s": v}
                            for e, (t, v) in enumerate(zip(self.train_s, self.eval_s))],
+                "peak_rss_mb": peak_rss_mb(),
                 "environment": environment_stamp()}
 
     def write(self, directory) -> None:
@@ -311,13 +330,49 @@ def _fit(reg: ParamRegistry, cfg: TrainConfig, stream: str,
         yield epoch, float(np.average(losses, weights=weights)) if weights else None
 
 
+def eval_chunks(sizes: Sequence[int], max_rows: int) -> list[tuple[int, int]]:
+    """[start, stop) runs of graphs, with ``sizes`` their node counts: the
+    fewest runs of at most ``max_rows`` rows, a larger graph a run of its
+    own, with the largest run as small as that count allows.
+
+    Filling runs greedily up to a cap gives the fewest runs for that cap,
+    and never more for a larger one; the cap is the smallest that keeps the
+    count ``max_rows`` gives, so no run is left as a small tail.
+    """
+    def cuts(cap):
+        bounds, rows = [0], 0
+        for i, n in enumerate(sizes):
+            if rows and rows + n > cap:
+                bounds.append(i)
+                rows = 0
+            rows += n
+        return bounds + [len(sizes)]
+
+    if not sizes:
+        return []
+    fewest = len(cuts(max_rows))
+    lo, hi = 1, max_rows
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if len(cuts(mid)) == fewest else (mid + 1, hi)
+    bounds = cuts(lo)
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def evaluate_auc(dataset: Dataset, reg: ParamRegistry, model: ModelConfig,
-                 peft: PeftConfig, chunk: int = 256) -> float:
-    """Eval-mode ROC-AUC over a whole dataset, batched for memory."""
-    scores, labels, masks = [], [], []
+                 peft: PeftConfig, budget: int = EVAL_BUDGET) -> float:
+    """Eval-mode ROC-AUC over a whole dataset, forwarded in ``eval_chunks``
+    whose widest activation (rows × the wider of d and the MLP width)
+    holds at most ``budget`` floats, so its memory does not grow with the
+    dataset. Eval-mode rows do not interact, so the logits equal one
+    whole-dataset forward's wherever the BLAS rounds a row the same way
+    whatever the number of rows: chunks stay wide, and OpenBLAS rounds
+    differently only for narrow products (M·N·K below about 10^6)."""
     graphs = dataset.graphs
-    for start in range(0, len(graphs), chunk):
-        b = make_batch(list(graphs[start:start + chunk]), dataset.vocab)
+    max_rows = max(1, budget // max(model.emb_dim, model.hidden))
+    scores, labels, masks = [], [], []
+    for start, stop in eval_chunks([g.num_nodes for g in graphs], max_rows):
+        b = make_batch(list(graphs[start:stop]), dataset.vocab)
         logits = forward_logits(b, reg, model, peft, "eval")
         scores.append(logits.data)
         labels.append(b.labels)

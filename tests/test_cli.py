@@ -212,6 +212,7 @@ class TestTimings:
             assert [e["epoch"] for e in timings["epochs"]] == [1, 2, 3]
             for e in timings["epochs"]:
                 assert e["train_s"] > 0 and e["eval_s"] > 0
+            assert timings["peak_rss_mb"] > 0
             env = timings["environment"]
             assert env["numpy"] == np.__version__
             assert set(env["blas"]) == {"name", "version"}
@@ -640,6 +641,13 @@ class TestBadFlagValues:
         "gen-data-config": (["gen-data", "--config", "none.cfg"],
                             "unrecognized arguments: --config none.cfg"),
         "sweep-seed": (SWEEP_ONE + ["--seed", "3"], "unrecognized arguments: --seed 3"),
+        # grid keys a kind does not read would only fork its fingerprint
+        "sweep-unread-grid-keys": (
+            ["sweep", "--kind", "bottleneck", "--csv", "emb=8", "b=0,2",
+             "mode=lora", "frac=0.5", "dfull=3"],
+            "a bottleneck sweep does not read mode, frac, dfull"),
+        "sweep-model-size-frac": (SWEEP_ONE + ["frac=0.5"],
+                                  "a model_size sweep does not read frac"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -101,7 +101,8 @@ def run(states_fn, batch, model, peft, mode):
         w = RngStream(5, ("w",)).normal(size=logits.shape)
         if mode == "train":
             tape.backward(sum_all(mul_elementwise(logits, Tensor(w))))
-    grads = {n: t.grad.copy() for n, t in reg.trainable_tensors()}
+    grads = {n: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for n, t in reg.trainable_tensors()}
     return logits.data, grads, {n: b.copy() for n, b in reg.buffers.items()}
 
 

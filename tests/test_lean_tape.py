@@ -106,14 +106,22 @@ class TestAdamMatchesWholeArrayForm:
         for step in range(1, 6):
             grads = {n: rng.normal(scale=10.0 ** (step - 3), size=a.shape)
                      for n, a in params.items()}
+            # on even steps every other parameter got no gradient: the step
+            # reads its missing buffer as the zeros the oracle is given
+            missing = set(sorted(self.SHAPES)[::2]) if step % 2 == 0 else set()
             for n, g in grads.items():
-                reg.get(n).grad[...] = g
+                if n in missing:
+                    g[...] = 0.0
+                else:
+                    reg.get(n).grad = g.copy()
             opt.step()
             oracle_adam_step(params, grads, m, v, step, cfg)
             for n in self.SHAPES:
                 assert np.array_equal(reg.get(n).data, params[n]), (n, step)
                 assert np.array_equal(opt.m[n], m[n]), (n, step)
                 assert np.array_equal(opt.v[n], v[n]), (n, step)
+            opt.zero_grad()
+            assert all(reg.get(n).grad is None for n in reg.names())
 
     def test_ragged_size_is_not_a_chunk_multiple(self):
         size = int(np.prod(self.SHAPES["ragged"]))
@@ -305,8 +313,10 @@ class TestGradientLifetime:
 
     @pytest.mark.parametrize("name", GRAPHS)
     def test_sweep_consumes_tape_and_keeps_leaf_buffers(self, name):
+        # leaves start without a buffer; the sweep gives each one of its
+        # own, which outlives the tape until zero_grad drops it
         leaves, build = _fan_out_graphs(np.random.default_rng(2))[name]
-        buffers = [p.grad for p in leaves]
+        assert all(p.grad is None for p in leaves)
         with T.Tape() as tape:
             loss = build(leaves)
             recorded = [n.output for n in tape.nodes]
@@ -314,12 +324,35 @@ class TestGradientLifetime:
             assert tape.nodes == []
             for out in recorded:
                 assert out.grad is None and out.tape_node is None
+            buffers = [p.grad for p in leaves]
             for p, buf in zip(leaves, buffers):
-                assert p.grad is buf
+                assert buf.shape == p.data.shape and buf.base is None
+                assert not any(np.shares_memory(buf, q.data) for q in leaves)
+            for i, j in zip(*np.triu_indices(len(buffers), k=1)):
+                assert not np.shares_memory(buffers[i], buffers[j])
             with pytest.raises(T.TapeConsumedError):
                 tape.backward(loss)
         for p, buf in zip(leaves, buffers):
             assert p.grad is buf
+            p.zero_grad()
+            assert p.grad is None
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_first_gradient_is_not_an_upstream_array(self, name, monkeypatch):
+        # a leaf's buffer is no array that also reached another tensor, so
+        # adding a later gradient into it writes nothing another rule holds
+        leaves, build = _fan_out_graphs(np.random.default_rng(3))[name]
+        handed = []
+        original = T._accumulate
+
+        def spy(t, g, rows=None, owned=False):
+            handed.append((t, g))
+            original(t, g, rows, owned)
+        monkeypatch.setattr(T, "_accumulate", spy)
+        with T.Tape() as tape:
+            tape.backward(build(leaves))
+        for p in leaves:
+            assert not any(np.shares_memory(p.grad, g) for t, g in handed if t is not p)
 
     def test_backward_after_release_raises(self):
         x = T.Tensor(np.ones((2, 2)), requires_grad=True)
@@ -327,7 +360,7 @@ class TestGradientLifetime:
             loss = T.sum_all(x)
         with pytest.raises(T.TapeConsumedError):
             tape.backward(loss)
-        assert np.array_equal(x.grad, np.zeros((2, 2)))
+        assert x.grad is None
 
     def test_upstream_gradient_never_written(self):
         # add hands one array to both inputs; the op output that takes it
@@ -352,15 +385,18 @@ class TestGradientLifetime:
         assert np.array_equal(g, before)
         assert np.array_equal(x.grad, np.full((2, 3), 4.5))
 
-    def test_registry_zero_grads_keeps_buffers(self):
+    def test_registry_zero_grads_drops_buffers(self):
         reg = ParamRegistry()
         t = reg.add("w", np.ones((2, 2)), True, "backbone")
-        buf = t.grad
+        assert t.grad is None
         with T.Tape() as tape:
             tape.backward(T.sum_all(T.mul_elementwise(t, t)))
-        assert t.grad is buf and np.array_equal(buf, np.full((2, 2), 2.0))
+        assert np.array_equal(t.grad, np.full((2, 2), 2.0))
         reg.zero_grads()
-        assert t.grad is buf and not buf.any()
+        assert t.grad is None
+        with T.Tape() as tape:  # the next sweep starts from zero again
+            tape.backward(T.sum_all(t))
+        assert np.array_equal(t.grad, np.ones((2, 2)))
 
     def test_output_of_a_finished_tape_is_a_dead_end(self):
         x = T.Tensor(np.ones((2, 2)), requires_grad=True)

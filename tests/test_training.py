@@ -244,9 +244,11 @@ class TestTrainLoop:
         assert exc.value.epoch == 1
 
     def test_evaluate_auc_chunking_invariant(self):
+        # the default budget holds the whole split (16 floats a row);
+        # 40 rows cut it into chunks of about three graphs
         train_ds, _, reg, model, peft = small_setup()
-        full = evaluate_auc(train_ds, reg, model, peft, chunk=256)
-        small = evaluate_auc(train_ds, reg, model, peft, chunk=3)
+        full = evaluate_auc(train_ds, reg, model, peft)
+        small = evaluate_auc(train_ds, reg, model, peft, budget=40 * 16)
         assert full == small
 
 
