@@ -3,9 +3,10 @@ evaluation, sweeps, and the paper-and-pencil calculators.
 
 Exit codes: 0 success, 1 usage error (bad flags, bad config values,
 refused overwrites), 2 runtime failure (bad files, divergence, undefined
-metrics). Every run directory receives a flat ``config.txt`` echo that
-reparses to the exact configuration used, and is named by the config
-fingerprint so identical requests collide instead of duplicating.
+metrics). ``open_run_dir`` opens each run directory once the data has
+loaded, names it by the fingerprint of the run's echo (identical requests
+collide), writes the echo there as ``config.txt`` and removes it if the run
+fails; the echo's run keys rebuild the configs via ``build_run_configs``.
 
 ``RUN_KEYS`` is the one schema of a run's configuration: each key is a
 ``ModelConfig``/``PeftConfig``/``TrainConfig`` field (``vocab`` is split into
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import pathlib
 import shutil
@@ -210,28 +212,41 @@ def canonical_echo(model: ModelConfig, peft: PeftConfig, train: TrainConfig,
     return echo
 
 
-def write_echo(directory: pathlib.Path, echo: dict) -> None:
-    lines = [f"{k}={echo[k]}" for k in sorted(echo)]
-    (directory / "config.txt").write_text("\n".join(lines) + "\n",
-                                          encoding="utf-8")
-
-
-def prepare_run_dir(out_root, fingerprint: str, force: bool) -> pathlib.Path:
-    d = pathlib.Path(out_root) / fingerprint
+@contextlib.contextmanager
+def open_run_dir(out_root, echo: dict, force: bool):
+    """Yield the fingerprint of ``echo`` and a fresh directory of that name
+    under ``out_root`` holding the echo as ``config.txt``. An existing one
+    is refused unless ``force``; a run that fails inside the block leaves
+    none behind."""
+    fp = config_fingerprint(echo)
+    d = pathlib.Path(out_root) / fp
     if d.exists():
         if not force:
             raise UsageError(f"output directory {d} already exists for this "
                              "config fingerprint; pass --force to overwrite")
         shutil.rmtree(d)
     d.mkdir(parents=True)
-    return d
+    lines = [f"{k}={echo[k]}" for k in sorted(echo)]
+    (d / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        yield fp, d
+    except BaseException:
+        shutil.rmtree(d)
+        raise
 
 
-def _split_spec(args) -> SplitSpec:
-    fractions = tuple(_cast_float("fractions", x)
-                      for x in args.fractions.split(","))
+def _write_json(out, name: str, payload: dict) -> None:
+    """``payload`` as indented JSON with sorted keys in ``out/name``, if ``out``."""
+    if out:
+        out = pathlib.Path(out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _split_spec(mode: str, fractions: str) -> SplitSpec:
+    parts = tuple(_cast_float("fractions", x) for x in fractions.split(","))
     with _as_usage_error():
-        return SplitSpec(fractions=fractions, mode=args.split)
+        return SplitSpec(fractions=parts, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +257,12 @@ def cmd_gen_data(args) -> int:
     out = pathlib.Path(args.out)
     if out.exists() and not args.force:
         raise UsageError(f"{out} exists; pass --force to overwrite")
-    nodes = _cast_pair("nodes", args.nodes)
+    # only the values given: the defaults are generate_synthetic's and Vocab's
+    given = {k: v for k, v in vars(args).items() if v is not None}
     with _as_usage_error():
-        vocab = Vocab(node=_cast_pair("node_vocab", args.node_vocab),
-                      edge=_cast_pair("edge_vocab", args.edge_vocab))
-        ds = generate_synthetic(args.n, node_range=nodes,
-                                edge_prob=args.edge_prob, vocab=vocab,
-                                n_tasks=args.tasks, seed=args.seed,
-                                attr_affinity=args.attr_affinity)
+        vocab = Vocab(**{part: given[k] for k, part in VOCAB_KEYS.items() if k in given})
+        ds = generate_synthetic(args.n, vocab=vocab, **{k: given[k] for k in (
+            "node_range", "edge_prob", "attr_affinity", "n_tasks", "seed") if k in given})
     out.parent.mkdir(parents=True, exist_ok=True)
     save_jsonl(ds, out)
     print(f"wrote {len(ds)} graphs to {out}")
@@ -258,20 +271,18 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     model, _, train = build_run_configs(merge_config(args))
-    echo = canonical_echo(model, PeftConfig(mode="full"), train,
-                          extra={"command": "pretrain", "data": args.data})
-    fp = config_fingerprint(echo)
-    run_dir = prepare_run_dir(args.out, fp, args.force)
-    write_echo(run_dir, echo)
     ds = load_jsonl(args.data, vocab=model.vocab)
     model = dataclasses.replace(model, num_tasks=ds.num_tasks)
-    reg, losses = pretrain_edgepred(ds, model, train)
-    meta = {"kind": "encoder", "fingerprint": fp, "seed": train.seed,
-            "config": echo}
-    ckpt = run_dir / "encoder.ckpt"
-    save_checkpoint(ckpt, reg, meta, param_names=encoder_param_names(reg))
-    lines = ["epoch,loss"] + [f"{i + 1},{v:.10g}" for i, v in enumerate(losses)]
-    (run_dir / "losses.csv").write_text("\n".join(lines) + "\n")
+    echo = canonical_echo(model, PeftConfig(), train,
+                          extra={"command": "pretrain", "data": args.data})
+    with open_run_dir(args.out, echo, args.force) as (fp, run_dir):
+        reg, losses = pretrain_edgepred(ds, model, train)
+        meta = {"kind": "encoder", "fingerprint": fp, "seed": train.seed,
+                "config": echo}
+        ckpt = run_dir / "encoder.ckpt"
+        save_checkpoint(ckpt, reg, meta, param_names=encoder_param_names(reg))
+        lines = ["epoch,loss"] + [f"{i + 1},{v:.10g}" for i, v in enumerate(losses)]
+        (run_dir / "losses.csv").write_text("\n".join(lines) + "\n")
     print(f"fingerprint {fp}")
     print(f"checkpoint {ckpt}")
     print(f"final_loss {losses[-1]:.10g}")
@@ -297,7 +308,7 @@ def _load_backbone(reg, path, model: ModelConfig) -> None:
 
 def cmd_train(args) -> int:
     model, peft, train = build_run_configs(merge_config(args))
-    spec = _split_spec(args)
+    spec = _split_spec(args.split, args.fractions)
     if peft.mode != "full" and not args.backbone_ckpt \
             and not args.allow_random_backbone:
         raise UsageError(
@@ -305,13 +316,6 @@ def cmd_train(args) -> int:
             "--backbone-ckpt was given. Parameter-efficient tuning of a "
             "random backbone is only meaningful for the expressivity "
             "experiment; pass --allow-random-backbone to do it anyway.")
-    extra = {"command": "train", "data": args.data, "split": args.split,
-             "fractions": args.fractions,
-             "backbone_ckpt": args.backbone_ckpt or "none"}
-    echo = canonical_echo(model, peft, train, extra=extra)
-    fp = config_fingerprint(echo)
-    run_dir = prepare_run_dir(args.out, fp, args.force)
-    write_echo(run_dir, echo)
     ds = load_jsonl(args.data, vocab=model.vocab)
     model = dataclasses.replace(model, num_tasks=ds.num_tasks)
     train_ds, _, test_ds = split(ds, spec, seed=train.seed)
@@ -323,17 +327,19 @@ def cmd_train(args) -> int:
     else:
         backbone_ref = f"random:{train.seed}"
     apply_peft(reg, model, peft, seed=train.seed)
-
-    record = train_supervised(train_ds, test_ds, reg, model, peft, train,
-                              fingerprint=fp, config_echo=echo)
-    record.write(run_dir)
-    meta = {"kind": "task", "fingerprint": fp, "seed": train.seed,
-            "backbone_ref": backbone_ref, "config": echo}
-    if peft.mode == "full":
-        names = None  # everything
-    else:
-        names = [n for n, p in reg.items() if p.trainable]
-    save_checkpoint(run_dir / "task.ckpt", reg, meta, param_names=names)
+    extra = {"command": "train", "data": args.data, "split": spec.mode,
+             "fractions": spec.fractions,
+             "backbone_ckpt": args.backbone_ckpt or "none"}
+    echo = canonical_echo(model, peft, train, extra=extra)
+    with open_run_dir(args.out, echo, args.force) as (fp, run_dir):
+        record = train_supervised(train_ds, test_ds, reg, model, peft, train,
+                                  fingerprint=fp, config_echo=echo)
+        record.write(run_dir)
+        meta = {"kind": "task", "fingerprint": fp, "seed": train.seed,
+                "backbone_ref": backbone_ref, "config": echo}
+        names = None if peft.mode == "full" else [  # None: every parameter
+            n for n, p in reg.items() if p.trainable]
+        save_checkpoint(run_dir / "task.ckpt", reg, meta, param_names=names)
     print(f"fingerprint {fp}")
     print(f"final_train_auc {record.train_auc[-1]:.10g}")
     print(f"final_test_auc {record.test_auc[-1]:.10g}")
@@ -341,9 +347,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _task_meta(path, meta: dict) -> tuple[ModelConfig, PeftConfig, int, str]:
-    """(model config, tuning config, seed, backbone ref) from a task checkpoint's
-    meta; a config value that fails casting or validation is the file's fault."""
+def _task_meta(path, meta: dict) -> tuple[ModelConfig, PeftConfig, SplitSpec, int, str]:
+    """(model config, tuning config, split, seed, backbone ref) from a task
+    checkpoint's meta; a config value that is missing or fails casting or
+    validation is the file's fault."""
     cfg, seed = meta.get("config"), meta.get("seed")
     ref = meta.get("backbone_ref", "")
     for key, value, ok, want in (
@@ -355,18 +362,22 @@ def _task_meta(path, meta: dict) -> tuple[ModelConfig, PeftConfig, int, str]:
             raise CheckpointFormatError(
                 f"{path}: task checkpoint meta {key!r} must be {want}, got {value!r}")
     try:
+        for key in ("split", "fractions"):
+            if key not in cfg:
+                raise UsageError(f"no {key!r}")
         model, peft, _ = build_run_configs({k: str(v) for k, v in cfg.items()
                                             if k in RUN_KEYS})
+        spec = _split_spec(str(cfg["split"]), str(cfg["fractions"]))
     except UsageError as exc:
         raise CheckpointFormatError(f"{path}: task checkpoint config: {exc}") from None
-    return model, peft, seed, ref
+    return model, peft, spec, seed, ref
 
 
 def cmd_eval(args) -> int:
     meta, params, buffers = load_checkpoint(args.ckpt)
     if meta.get("kind") != "task":
         raise CheckpointFormatError(f"{args.ckpt} is not a task checkpoint")
-    model, peft, seed, ref = _task_meta(args.ckpt, meta)
+    model, peft, spec, seed, ref = _task_meta(args.ckpt, meta)
     ds = load_jsonl(args.data, vocab=model.vocab)
     model = dataclasses.replace(model, num_tasks=ds.num_tasks)
     reg = init_params(model, seed=seed)
@@ -382,20 +393,15 @@ def cmd_eval(args) -> int:
     apply_peft(reg, model, peft, seed=seed)
     reg.load_state(params, buffers)
 
-    spec = _split_spec(args)
-    if args.part == "all":
-        part = ds
-    else:
-        idx = {"train": 0, "valid": 1, "test": 2}[args.part]
-        part = split(ds, spec, seed=seed)[idx]
+    # a part of the split the run trained on, as its checkpoint records it
+    part = ds if args.part == "all" else split(ds, spec, seed=seed)[
+        ("train", "valid", "test").index(args.part)]
     auc = evaluate_auc(part, reg, model, peft)
     print(f"auc {auc:.10g}")
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "eval.json").write_text(json.dumps(
-            {"auc": auc, "part": args.part, "n_graphs": len(part),
-             "checkpoint": str(args.ckpt)}, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, "eval.json", {
+        "auc": auc, "part": args.part, "split": spec.mode,
+        "fractions": list(spec.fractions), "n_graphs": len(part),
+        "checkpoint": str(args.ckpt)})
     return 0
 
 
@@ -439,10 +445,12 @@ def _parse_sweep_grid(pairs: Sequence[str], config_path) -> tuple[dict, dict]:
 def cmd_sweep(args) -> int:
     if not args.out and not args.csv:
         raise UsageError("sweep needs --out and/or --csv")
+    if args.jobs < 1:  # refused before the run directory opens, as sweep does
+        raise UsageError(f"jobs must be >= 1, got {args.jobs}")
     grids, scalars = _parse_sweep_grid(args.grid, args.config)
     unread = [k for k, kinds in KIND_GRID_KEYS.items()
               if k in grids and args.kind not in kinds]
-    if unread:  # they would only fork the sweep's fingerprint
+    if unread:  # refused rather than ignored
         raise UsageError(f"a {args.kind} sweep does not read {', '.join(unread)}")
     # the run keys given; the first emb is the width of kinds that do not vary d
     given = {SCALAR_KEYS[k]: v for k, v in scalars.items() if k in SCALAR_KEYS}
@@ -458,16 +466,20 @@ def cmd_sweep(args) -> int:
     if len(plan) > CONFIRM_LIMIT and not args.yes:
         raise UsageError(f"sweep expands to {len(plan)} runs "
                          f"(> {CONFIRM_LIMIT}); pass --yes to confirm")
-    echo = {"command": "sweep", "kind": args.kind, "data": args.data,
-            **{k: _fmt(v) for k, v in {**scalars, **grids}.items()}}
-    fp = config_fingerprint(echo)
     ds = load_jsonl(args.data, vocab=model.vocab)
-    rows = sweep(args.kind, ds, jobs=args.jobs, **kw)
-    text = sweep_csv(rows)
-    if args.out:
-        run_dir = prepare_run_dir(args.out, fp, args.force)
-        write_echo(run_dir, echo)
-        (run_dir / "sweep.csv").write_text(text)
+    # named by its plan: the values all its rows share, and each row
+    shared = set(plan[0].items()).intersection(*(t.items() for t in plan))
+    echo = {"data": args.data, **{k: _fmt(v) for k, v in shared},
+            **{k: _fmt(getattr(model.vocab, part)) for k, part in VOCAB_KEYS.items()},
+            "rows": ",".join(sorted(config_fingerprint(t) for t in plan))}
+    opened = (open_run_dir(args.out, echo, args.force) if args.out
+              else contextlib.nullcontext((None, None)))
+    with opened as (fp, run_dir):
+        rows = sweep(args.kind, ds, jobs=args.jobs, **kw)
+        text = sweep_csv(rows)
+        if run_dir:
+            (run_dir / "sweep.csv").write_text(text)
+    if run_dir:
         print(f"fingerprint {fp}", file=sys.stderr)
         print(f"wrote {run_dir / 'sweep.csv'} ({len(rows)} rows)",
               file=sys.stderr)
@@ -486,14 +498,10 @@ def cmd_count_params(args) -> int:
     print(f"fraction {counts.fraction:.10g}")
     for group, (tot, tr) in counts.by_group.items():
         print(f"group {group} total {tot} trainable {tr}")
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "count_params.json").write_text(json.dumps(
-            {"trainable": counts.trainable, "total": counts.total,
-             "fraction": counts.fraction,
-             "by_group": {k: list(v) for k, v in counts.by_group.items()}},
-            indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, "count_params.json", {
+        "trainable": counts.trainable, "total": counts.total,
+        "fraction": counts.fraction,
+        "by_group": {k: list(v) for k, v in counts.by_group.items()}})
     return 0
 
 
@@ -510,14 +518,10 @@ def cmd_flops(args) -> int:
     if args.breakdown:
         for label, val in est.items:
             print(f"item {label} {val}")
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "flops.json").write_text(json.dumps(
-            {"total": est.total, "forward": est.forward,
-             "backward": est.backward, "variants": est.variants,
-             "items": list(est.items), "constants": est.constants},
-            indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, "flops.json", {
+        "total": est.total, "forward": est.forward, "backward": est.backward,
+        "variants": est.variants, "items": list(est.items),
+        "constants": est.constants})
     return 0
 
 
@@ -538,11 +542,7 @@ def cmd_bound(args) -> int:
         print(f"bound {b!r}")
         payload["train_error"] = args.train_error
         payload["bound"] = b
-    if args.out:
-        out = pathlib.Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "bound.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, "bound.json", payload)
     return 0
 
 
@@ -558,13 +558,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="write a synthetic JSONL dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--nodes", default="6,16")
-    p.add_argument("--edge-prob", type=float, default=0.25)
-    p.add_argument("--attr-affinity", type=float, default=0.0)
-    p.add_argument("--node-vocab", default="8,4")
-    p.add_argument("--edge-vocab", default="4,3")
-    p.add_argument("--tasks", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--nodes", dest="node_range", metavar="LO,HI",
+                   type=functools.partial(_cast_pair, "nodes"))
+    p.add_argument("--edge-prob", type=float)
+    p.add_argument("--attr-affinity", type=float)
+    for key in VOCAB_KEYS:
+        p.add_argument(RUN_KEYS[key][0], dest=key, metavar="V0,V1",
+                       type=functools.partial(_cast_pair, key))
+    p.add_argument("--tasks", dest="n_tasks", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_gen_data)
 
@@ -593,9 +595,6 @@ def build_parser() -> _Parser:
     p.add_argument("--backbone-ckpt")
     p.add_argument("--part", choices=("train", "valid", "test", "all"),
                    default="test")
-    p.add_argument("--split", choices=("structure", "random"),
-                   default="structure")
-    p.add_argument("--fractions", default="0.8,0.1,0.1")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

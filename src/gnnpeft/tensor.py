@@ -78,13 +78,12 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded operation: inputs, output, and its backward rule."""
+    """One recorded operation: its output and its backward rule, a closure
+    over the inputs it routes gradients to."""
 
-    __slots__ = ("inputs", "output", "backward_fn")
+    __slots__ = ("output", "backward_fn")
 
-    def __init__(self, inputs: Sequence[Tensor], output: Tensor,
-                 backward_fn: Callable[[np.ndarray], None]):
-        self.inputs = tuple(inputs)
+    def __init__(self, output: Tensor, backward_fn: Callable[[np.ndarray], None]):
         self.output = output
         self.backward_fn = backward_fn
 
@@ -170,7 +169,7 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray,
     out = Tensor(out_data)
     if needs:
         out.requires_grad = True
-        tape.record(TapeNode(inputs, out, backward_fn_factory(out)))
+        tape.record(TapeNode(out, backward_fn_factory(out)))
     return out
 
 

@@ -1,24 +1,30 @@
 """Exit-code contract, config-file merging, the run-key schema, echo
-reparsing, output-dir guards, and end-to-end command workflows
+reparsing, output-dir guards and names, and end-to-end command workflows
 (in-process via main(argv))."""
 
 import csv
 import dataclasses
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gnnpeft import cli
 from gnnpeft.cli import (RUN_KEYS, UsageError, _fmt, build_parser,
                          build_run_configs, canonical_echo, main, merge_config,
                          parse_config_file)
 from gnnpeft.config import config_fingerprint
 from gnnpeft.config import PEFT_MODES, ModelConfig, PeftConfig, TrainConfig
+from gnnpeft.graphs import generate_synthetic, save_jsonl
 from gnnpeft.registry import ParamRegistry, load_checkpoint, save_checkpoint
+from gnnpeft.training import TrainingDivergedError
 
 from child_env import child_env
 
@@ -144,6 +150,21 @@ class TestGenData:
         assert main(args) == 1            # refuses
         assert main(args + ["--force"]) == 0
 
+    def test_defaults_are_the_librarys(self, tmp_path, capsys):
+        # the flags hold no defaults of their own, only what was given
+        args = build_parser().parse_args(["gen-data", "--out", "x"])
+        assert {k: v for k, v in vars(args).items() if v is not None} == {
+            "command": "gen-data", "out": "x", "n": 200, "force": False,
+            "func": args.func}
+        explicit = ["--nodes", "6,16", "--edge-prob", "0.25", "--attr-affinity",
+                    "0.0", "--node-vocab", "8,4", "--edge-vocab", "4,3",
+                    "--tasks", "1", "--seed", "0"]
+        a, b, lib = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "lib.jsonl"
+        assert main(["gen-data", "--out", str(a), "--n", "12"]) == 0
+        assert main(["gen-data", "--out", str(b), "--n", "12"] + explicit) == 0
+        save_jsonl(generate_synthetic(12), lib)
+        assert a.read_bytes() == b.read_bytes() == lib.read_bytes()
+
 
 class TestTrainGuards:
     def test_peft_without_backbone_is_usage_error(self, dataset, capsys,
@@ -184,6 +205,52 @@ class TestTrainGuards:
                                   str(bad), "--out", str(tmp_path / "runs")]
                          + SMALL_MODEL + FAST_TRAIN)
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_malformed_data_leaves_no_run_directory(self, command, dataset,
+                                                    capsys, tmp_path):
+        good = dataset.read_text()
+        lines = good.splitlines(keepends=True)
+        data = tmp_path / "fixable.jsonl"
+        data.write_text("".join(lines[:3] + ['{"nodes": "what"}\n'] + lines[3:]))
+        runs = tmp_path / "runs"
+        args = [command, "--data", str(data), "--out", str(runs)] \
+            + SMALL_MODEL + FAST_TRAIN
+        code, _, err = run(capsys, args)
+        assert code == 2 and err.count("\n") == 1, err
+        assert f"{data}:4" in err
+        assert not runs.exists()
+        data.write_text(good)             # the fixed file reruns without --force
+        code, _, err = run(capsys, args)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("command,stage", [("train", "train_supervised"),
+                                               ("pretrain", "pretrain_edgepred")])
+    def test_failed_run_leaves_no_run_directory(self, command, stage, dataset,
+                                                capsys, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError(1, float("nan"))
+        monkeypatch.setattr(cli, stage, diverge)
+        runs = tmp_path / "runs"
+        code, _, err = run(capsys, [command, "--data", str(dataset), "--out",
+                                    str(runs)] + SMALL_MODEL + FAST_TRAIN)
+        assert code == 2 and err == "error: training diverged at epoch 1: loss=nan\n"
+        assert not list(runs.glob("*"))
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_task_count_comes_from_the_data(self, command, dataset, capsys,
+                                            tmp_path):
+        names = set()
+        for i, tasks in enumerate((["--tasks", "1"], ["--tasks", "7"], [])):
+            out = tmp_path / f"runs{i}"
+            code, stdout, err = run(capsys, [command, "--data", str(dataset),
+                                             "--out", str(out)] + tasks
+                                    + SMALL_MODEL + FAST_TRAIN)
+            assert code == 0, err
+            fp = grep_value(stdout, "fingerprint")
+            names.add(fp)
+            assert parse_config_file(out / fp / "config.txt")["num_tasks"] == "2"
+        assert len(names) == 1
 
     def test_rerun_same_fingerprint_refused_then_forced(self, dataset,
                                                         capsys, tmp_path):
@@ -252,6 +319,25 @@ class TestWorkflow:
         assert code == 0
         assert float(grep_value(out, "auc")) == pytest.approx(
             float(test_auc), abs=1e-9)
+
+    def test_eval_replays_the_recorded_split(self, dataset, capsys, tmp_path):
+        runs, out = tmp_path / "runs", tmp_path / "eval"
+        code, stdout, _ = run(capsys, ["train", "--mode", "full", "--data",
+                                       str(dataset), "--out", str(runs),
+                                       "--split", "random", "--fractions",
+                                       "0.6,0.2,0.2"] + SMALL_MODEL + FAST_TRAIN)
+        assert code == 0
+        test_auc = float(grep_value(stdout, "final_test_auc"))
+        task = runs / grep_value(stdout, "fingerprint") / "task.ckpt"
+        code, stdout, _ = run(capsys, ["eval", "--data", str(dataset), "--ckpt",
+                                       str(task), "--part", "test", "--out",
+                                       str(out)])
+        assert code == 0
+        assert float(grep_value(stdout, "auc")) == pytest.approx(test_auc, abs=1e-9)
+        assert json.loads((out / "eval.json").read_text()) == {
+            "auc": pytest.approx(test_auc, abs=1e-9), "part": "test",
+            "split": "random", "fractions": [0.6, 0.2, 0.2], "n_graphs": 12,
+            "checkpoint": str(task)}
 
     def test_task_checkpoint_refused_as_backbone(self, dataset, capsys,
                                                  tmp_path):
@@ -323,6 +409,34 @@ class TestWorkflow:
             assert code == 2, (label, err)
             assert str(path) in err and label.split("=")[0] in err, (label, err)
 
+    def test_eval_bad_recorded_split_names_file(self, dataset, capsys, tmp_path):
+        runs = tmp_path / "runs"
+        code, out, _ = run(capsys, ["train", "--mode", "full", "--data",
+                                    str(dataset), "--out", str(runs)]
+                           + SMALL_MODEL + FAST_TRAIN)
+        assert code == 0
+        meta, params, buffers = load_checkpoint(
+            runs / grep_value(out, "fingerprint") / "task.ckpt")
+        reg = ParamRegistry()
+        for name, arr in params.items():
+            reg.add(name, arr, True, "backbone")
+        for name, arr in buffers.items():
+            reg.add_buffer(name, arr)
+        cfg = meta["config"]
+        cases = [("split", {k: v for k, v in cfg.items() if k != "split"}),
+                 ("fractions", {k: v for k, v in cfg.items() if k != "fractions"})]
+        cases += [(key, {**cfg, key: value}) for key, value in (
+            ("split", "diagonal"), ("split", 3), ("fractions", "a,b,c"),
+            ("fractions", "0.5,0.5"), ("fractions", "0.5,0.5,0.5"),
+            ("fractions", [0.8, 0.1, 0.1]))]
+        for key, bad in cases:
+            path = tmp_path / "bad_split.ckpt"
+            save_checkpoint(path, reg, {**meta, "config": bad})
+            code, _, err = run(capsys, ["eval", "--data", str(dataset),
+                                        "--ckpt", str(path)])
+            assert code == 2, (bad, err)
+            assert err.count("\n") == 1 and str(path) in err and key in err, err
+
 
 class TestConfigFile:
     def test_flags_override_file(self, dataset, capsys, tmp_path):
@@ -373,8 +487,9 @@ class TestConfigFile:
                     if k not in ("command", "data", "split", "fractions",
                                  "backbone_ckpt")}
         model, peft, train = build_run_configs(run_keys)
-        assert model == ModelConfig(emb_dim=8, num_layers=2, dropout=0.0,
-                                    vocab=model.vocab)
+        # the task count is the dataset's, as the run used it
+        assert model == ModelConfig(emb_dim=8, num_layers=2, num_tasks=2,
+                                    dropout=0.0, vocab=model.vocab)
         assert model.vocab.node == (2, 2) and model.vocab.edge == (2, 2)
         assert peft == PeftConfig(mode="lora", lora_rank=2)
         assert train == TrainConfig(epochs=2, batch_size=8, lr=0.01, seed=0)
@@ -521,6 +636,58 @@ class TestSweepCommand:
         assert main(argv) == 1              # same fingerprint: refused
         assert main(argv + ["--force"]) == 0
 
+    def test_echo_is_the_plan(self, dataset, capsys, tmp_path):
+        out_root = tmp_path / "sweeps"
+        argv = ["sweep", "--kind", "model_size", "--data", str(dataset),
+                "--out", str(out_root), "emb=6,8"] + SWEEP_COMMON
+        assert main(argv) == 0
+        (run_dir,) = out_root.iterdir()
+        echo = parse_config_file(run_dir / "config.txt")
+        rows = list(csv.DictReader((run_dir / "sweep.csv").read_text().splitlines()))
+        assert echo == {
+            "data": str(dataset), "node_vocab": "2,2", "edge_vocab": "2,2",
+            "kind": "model_size", "init": "scratch", "mode": "full", "b": "15",
+            "seed": "0", "layers": "1", "epochs": "2", "batch_size": "8",
+            "lr": "0.01", "dropout": "0.0",
+            "rows": ",".join(sorted(r["fingerprint"] for r in rows))}
+        assert run_dir.name == config_fingerprint(echo)
+
+    @pytest.mark.parametrize("kind,first,second", [
+        ("model_size", ["emb=8"], ["emb=8", "b=15", "batch_size=32"]),
+        ("data_size", ["emb=8", "seed=0", "frac=0.5"],
+         ["emb=8,16", "seed=0,0", "frac=0.5"])])
+    def test_spellings_of_one_plan_share_a_directory(self, kind, first, second,
+                                                     dataset, capsys, tmp_path):
+        common = ["mode=full", "seed=0", "layers=1", "epochs=1", "dropout=0.0",
+                  "node_vocab=2,2", "edge_vocab=2,2"]
+        dirs = []
+        for i, grid in enumerate((first, second)):
+            code, _, err = run(capsys, ["sweep", "--kind", kind, "--data",
+                                        str(dataset), "--out", str(tmp_path / f"s{i}")]
+                               + common + grid)
+            assert code == 0, err
+            (d,) = (tmp_path / f"s{i}").iterdir()
+            dirs.append(d)
+        assert dirs[0].name == dirs[1].name
+        assert (dirs[0] / "sweep.csv").read_bytes() == (dirs[1] / "sweep.csv").read_bytes()
+
+    def test_failed_sweep_leaves_no_run_directory(self, dataset, capsys, tmp_path):
+        out_root = tmp_path / "sweeps"
+        code, _, err = run(capsys, ["sweep", "--kind", "data_size", "--data",
+                                    str(dataset), "--out", str(out_root), "emb=6",
+                                    "frac=0.001"] + SWEEP_COMMON)
+        assert code == 1 and "leaves no training graphs" in err
+        assert not list(out_root.glob("*"))
+
+    def test_rerun_refused_before_any_task(self, dataset, capsys, tmp_path):
+        argv = ["sweep", "--kind", "model_size", "--data", str(dataset),
+                "--out", str(tmp_path / "sweeps"), "emb=6"] + SWEEP_COMMON
+        assert main(argv) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: output directory") and err.count("\n") == 1
+
     def test_needs_out_or_csv(self, dataset, capsys):
         code, _, err = run(capsys, ["sweep", "--kind", "model_size", "--data",
                                     str(dataset), "emb=6"] + SWEEP_COMMON)
@@ -641,7 +808,12 @@ class TestBadFlagValues:
         "gen-data-config": (["gen-data", "--config", "none.cfg"],
                             "unrecognized arguments: --config none.cfg"),
         "sweep-seed": (SWEEP_ONE + ["--seed", "3"], "unrecognized arguments: --seed 3"),
-        # grid keys a kind does not read would only fork its fingerprint
+        # eval replays the split its checkpoint records
+        "eval-split-fractions": (["eval", "--data", "d.jsonl", "--ckpt", "t.ckpt",
+                                  "--split", "random", "--fractions", "0.6,0.2,0.2"],
+                                 "unrecognized arguments: --split random "
+                                 "--fractions 0.6,0.2,0.2"),
+        # grid keys a kind does not read are refused rather than ignored
         "sweep-unread-grid-keys": (
             ["sweep", "--kind", "bottleneck", "--csv", "emb=8", "b=0,2",
              "mode=lora", "frac=0.5", "dfull=3"],
@@ -769,3 +941,63 @@ class TestSweepWidth:
                             if r["mode"] == "adaptergnn" or kind != "expressivity")
         if kind == "expressivity":
             assert sorted(r["d"] for r in rows) == ["4", "8"]
+
+
+# one spelling of each default a sweep request may state or leave out
+SWEEP_DEFAULTS = {"b": "15", "batch_size": "32", "lr": "1e-3", "init": "scratch"}
+SWEEP_KIND_GRIDS = {"model_size": ["mode=full", "emb=6"],
+                    "data_size": ["mode=full", "frac=0.5"],
+                    "bottleneck": ["b=0,2"]}
+
+
+@pytest.fixture(scope="module")
+def shared_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "data.jsonl"
+    assert main(["gen-data", "--out", str(path), "--n", "60"] + DATA_ARGS) == 0
+    return path
+
+
+@st.composite
+def sweep_spellings(draw):
+    """Two spellings of one sweep request: the kind's grid, its seeds and
+    scalars, then the same with explicit defaults, seeds repeated and
+    reordered, and extra widths where the kind reads only the first."""
+    kind = draw(st.sampled_from(sorted(SWEEP_KIND_GRIDS)))
+    seeds = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=2,
+                          unique=True))
+    base = SWEEP_KIND_GRIDS[kind] + ["layers=1", "epochs=1", "dropout=0.0",
+                                     "node_vocab=2,2", "edge_vocab=2,2"]
+    if kind != "model_size":  # its width is the first emb
+        base.append("emb=6")
+    stated = {k: v for k, v in SWEEP_DEFAULTS.items()
+              if not (kind == "bottleneck" and k == "b")}  # b is its grid
+    plain = base + ["seed=" + ",".join(map(str, sorted(seeds)))]
+    again = draw(st.lists(st.sampled_from(seeds), max_size=2))
+    respelled = draw(st.permutations(seeds + again))
+    extra = [f"{k}={v}" for k, v in stated.items() if draw(st.booleans())]
+    if kind != "model_size" and draw(st.booleans()):
+        widths = draw(st.lists(st.sampled_from([4, 8, 12]), min_size=1, max_size=2))
+        extra.append("emb=" + ",".join(map(str, [6] + widths)))
+    spelled = draw(st.permutations(
+        [w for w in base if not (w == "emb=6" and any(e.startswith("emb=") for e in extra))]
+        + extra + ["seed=" + ",".join(map(str, respelled))]))
+    return kind, plain, spelled
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request=sweep_spellings())
+def test_sweep_spellings_share_a_directory(request, shared_dataset, capsys):
+    kind, plain, spelled = request
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = []
+        for i, grid in enumerate((plain, spelled)):
+            out = pathlib.Path(tmp) / f"s{i}"
+            code, _, err = run(capsys, ["sweep", "--kind", kind, "--data",
+                                        str(shared_dataset), "--out", str(out)] + grid)
+            assert code == 0, (grid, err)
+            (d,) = out.iterdir()
+            dirs.append(d)
+        assert dirs[0].name == dirs[1].name, (plain, spelled)
+        assert (dirs[0] / "sweep.csv").read_bytes() == (dirs[1] / "sweep.csv").read_bytes()
+        assert (dirs[0] / "config.txt").read_bytes() == (dirs[1] / "config.txt").read_bytes()
