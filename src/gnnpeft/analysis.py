@@ -24,7 +24,8 @@ from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                      config_fingerprint)
 from .graphs import Dataset, SplitSpec, split
 from .model import init_params
-from .peft import ADAPTER_SLOTS, apply_peft, backbone_trainable, check_fits
+from .peft import (ADAPTER_SLOTS, apply_peft, backbone_trainable, canonical_peft,
+                   check_fits)
 from .registry import ParamRegistry
 from .rng import RngStream
 from .training import (RunRecord, encoder_state, pretrain_edgepred,
@@ -418,8 +419,9 @@ def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
     """Expand a sweep request into per-run task dicts, validating every
     grid point up front so bad grids fail before any work starts. A task
     holds every value its run reads but the data (a pretrained one its
-    pre-training epochs, ``train.epochs`` by default); a request value no
-    task carries is refused, not dropped."""
+    pre-training epochs, ``train.epochs`` by default), and the default
+    ``b`` when its mode reads no bottleneck; a request value no task
+    carries is refused, not dropped."""
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {kind!r}")
     grid_arg, inits, runs = SWEEP_KINDS[kind]
@@ -443,6 +445,9 @@ def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
     tasks: list[dict] = []
     for v in grid:
         for mode, d, b, extra in runs(v, model.emb_dim, bottleneck, modes):
+            # a mode that reads no bottleneck holds the default, as
+            # canonical_peft gives it, so b cannot fork its fingerprint
+            b = canonical_peft(PeftConfig(mode=mode, bottleneck=b)).bottleneck
             for s in seeds:
                 task = dict(base, mode=mode, d=d, b=b, seed=s, **extra)
                 if task not in tasks:

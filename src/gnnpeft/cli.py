@@ -528,17 +528,17 @@ def cmd_flops(args) -> int:
 def cmd_bound(args) -> int:
     if (args.logH is None) == (args.params is None):
         raise UsageError("pass exactly one of --logH or --params")
-    logh = args.logH if args.logH is not None \
-        else log_hypothesis_size_for(args.params)
     with _as_usage_error():
+        logh = args.logH if args.logH is not None \
+            else log_hypothesis_size_for(args.params)
         gap = hoeffding_gap(logh, args.n, args.delta)
+        b = None if args.train_error is None else bound(BoundInput(
+            train_error=args.train_error, log_hypothesis_size=logh, n=args.n,
+            delta=args.delta))
     print(f"gap {gap!r}")
     payload = {"gap": gap, "log_hypothesis_size": logh, "n": args.n,
                "delta": args.delta}
-    if args.train_error is not None:
-        b = bound(BoundInput(train_error=args.train_error,
-                             log_hypothesis_size=logh, n=args.n,
-                             delta=args.delta))
+    if b is not None:
         print(f"bound {b!r}")
         payload["train_error"] = args.train_error
         payload["bound"] = b

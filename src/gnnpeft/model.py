@@ -186,7 +186,8 @@ def backbone_layer(m: Tensor, reg: ParamRegistry, l: int, mode: str,
                    readout: Optional[Callable] = None) -> Tensor:
     """BN(MLP(m)) for layer l; m is the message-passing output. An
     eval-mode ``readout`` pools the rows right after the MLP's ReLU."""
-    h = relu(_mlp_linear(m, reg, f"layer.{l}.mlp.0"))
+    # the affine output is fresh and read by nothing else, so ReLU reuses it
+    h = relu(_mlp_linear(m, reg, f"layer.{l}.mlp.0"), overwrite_input=True)
     if readout is not None:
         h = readout(h)
     h = _mlp_linear(h, reg, f"layer.{l}.mlp.1")

@@ -79,7 +79,7 @@ def adapter_forward(x: Tensor, module: AdapterModule, mode: str,
     """A(x) = BN(W_up(ReLU(W_down(x)))), the bottleneck transform. An
     eval-mode ``readout`` pools the rows right after the ReLU, since the
     up-projection and eval BN after it are affine per row."""
-    h = relu(matmul(x, module.down_w, module.down_b))
+    h = relu(matmul(x, module.down_w, module.down_b), overwrite_input=True)
     if readout is not None:
         h = readout(h)
     h = matmul(h, module.up_w, module.up_b)

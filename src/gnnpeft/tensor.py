@@ -17,12 +17,25 @@ Conventions:
   * everything is float64 (checkpoints downcast to float32 on disk);
   * an op is recorded only while a tape is active and at least one input
     has ``requires_grad``, so frozen subgraphs cost no backward work;
+  * a recorded op's tape node is a gradient route, not an owner: it holds
+    the op's backward rule, its output's shape and the gradient arriving
+    for that output, never the output tensor. The rule closes over one
+    route per input (the input's node, the leaf tensor itself, or None
+    when the input needs no gradient) and over exactly the arrays it
+    reads: ``matmul`` the other operand of each gradient it produces,
+    ``mul_elementwise`` and ``row_dot`` their factors, ``sigmoid`` its
+    output, batch norm x̂, 1/σ and γ, ``relu`` its mask and ``dropout``
+    its keep mask. So a forward value no rule reads (a pre-ReLU affine
+    output, a BN input or output, a sum) is freed as soon as the forward
+    stops naming it, with no reference cycle to break;
   * a leaf tensor that requires grad has a ``grad`` buffer only from its
     first gradient in a sweep until ``zero_grad`` drops it (the optimizer
     step reads it in between); later gradients are added into it in
-    place. An op output has a gradient only during the reverse sweep,
-    from its first incoming gradient until its own backward rule has run;
-  * one sweep consumes a tape;
+    place. An op output has no ``grad``: its gradient lives on its node
+    during the reverse sweep, from the first incoming gradient until the
+    node's rule has run;
+  * one sweep consumes a tape, and an output of a swept or released tape
+    is a leaf to any later tape;
   * stochastic ops take an explicit :class:`~gnnpeft.rng.RngStream`.
 """
 
@@ -51,6 +64,8 @@ class Tensor:
     """A dense array plus an optional gradient buffer and tape handle.
 
     ``grad`` is None until a sweep delivers a gradient; None reads as zeros.
+    ``tape_node`` is the node of the op that made this tensor; later ops
+    read it while they are recorded, to route their gradients to it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "tape_node")
@@ -78,14 +93,20 @@ class Tensor:
 
 
 class TapeNode:
-    """One recorded operation: its output and its backward rule, a closure
-    over the inputs it routes gradients to."""
+    """One recorded operation as a gradient route: its backward rule, its
+    output's shape, and the gradient that has arrived for its output.
 
-    __slots__ = ("output", "backward_fn")
+    The rule is None once it has run or its tape was released; the node
+    is then dead, and its output is a leaf to any later op.
+    """
 
-    def __init__(self, output: Tensor, backward_fn: Callable[[np.ndarray], None]):
-        self.output = output
-        self.backward_fn = backward_fn
+    __slots__ = ("backward_fn", "shape", "grad")
+
+    def __init__(self, backward_fn: Callable[[np.ndarray], None],
+                 shape: tuple[int, ...]):
+        self.backward_fn: Optional[Callable[[np.ndarray], None]] = backward_fn
+        self.shape = shape
+        self.grad: Optional[np.ndarray] = None
 
 
 class TapeConsumedError(RuntimeError):
@@ -97,17 +118,18 @@ class Tape:
 
     Operations are appended in execution order, which is a topological
     order by construction. ``backward`` visits each node exactly once in
-    reverse and drops it, with its output's gradient, as soon as its rule
-    has run: by then every consumer of that output has been visited, so
-    activations and gradients are freed during the sweep. A leaf's first
-    gradient creates its ``grad`` buffer and later ones accumulate into it
-    in place. The sweep consumes the tape; a second ``backward`` raises
-    :class:`TapeConsumedError`.
+    reverse and drops its rule and gradient as soon as the rule has run:
+    by then every consumer of that output has been visited, so the arrays
+    the rule kept and the gradients are freed during the sweep. A leaf's
+    first gradient creates its ``grad`` buffer and later ones accumulate
+    into it in place. The sweep consumes the tape; a second ``backward``
+    raises :class:`TapeConsumedError`.
 
-    Leaving the ``with`` block releases whatever is still recorded:
-    tensors and their tape nodes reference each other, and dropping those
-    links lets plain refcounting reclaim each step's intermediates instead
-    of leaving megabytes of cyclic garbage for the generational collector.
+    A node holds no tensor and a rule holds only arrays and routes (input
+    nodes and leaf tensors), so nothing recorded forms a reference cycle:
+    plain refcounting frees a forward value once neither the forward nor
+    a rule reads it. Leaving the ``with`` block releases whatever rules a
+    sweep did not run.
     """
 
     def __init__(self):
@@ -116,12 +138,10 @@ class Tape:
 
     def record(self, node: TapeNode) -> None:
         self.nodes.append(node)
-        node.output.tape_node = node
 
     def release(self) -> None:
         for node in self.nodes:
-            node.output.tape_node = None
-            node.output.grad = None
+            node.backward_fn = node.grad = None
         self.nodes.clear()
         self.consumed = True
 
@@ -135,14 +155,14 @@ class Tape:
         if not loss.requires_grad:
             raise ValueError("loss does not require grad; nothing to backpropagate")
         self.consumed = True
-        _accumulate(loss, np.ones_like(loss.data))
+        _accumulate(_route(loss), np.ones_like(loss.data))
         nodes = self.nodes
         while nodes:
             node = nodes.pop()
-            out = node.output
-            g, out.grad, out.tape_node = out.grad, None, None
+            rule, g = node.backward_fn, node.grad
+            node.backward_fn = node.grad = None
             if g is not None:
-                node.backward_fn(g)
+                rule(g)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -160,47 +180,60 @@ def active_tape() -> Optional[Tape]:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _record(inputs: Sequence[Tensor], out_data: np.ndarray,
-            backward_fn_factory) -> Tensor:
-    """Create the output tensor and record it if a tape is listening. The
-    output gets no gradient buffer: it receives its gradient in the sweep."""
-    tape = active_tape()
-    needs = tape is not None and any(t.requires_grad for t in inputs)
+def _route(t: Tensor) -> "TapeNode | Tensor | None":
+    """Where t's gradient goes: its node while that node's rule is live,
+    else t itself as a leaf; None when t needs no gradient."""
+    if not t.requires_grad:
+        return None
+    node = t.tape_node
+    return node if node is not None and node.backward_fn is not None else t
+
+
+def _record(inputs: Sequence[Tensor], out_data: np.ndarray, make_backward) -> Tensor:
+    """Create the output tensor and record it if a tape is listening and
+    some input needs a gradient. ``make_backward`` is called with one
+    route per input and returns the rule; it runs only when the op is
+    recorded, so it is where a rule takes the arrays it reads."""
     out = Tensor(out_data)
-    if needs:
+    tape = active_tape()
+    if tape is None:
+        return out
+    routes = [_route(t) for t in inputs]
+    if any(r is not None for r in routes):
         out.requires_grad = True
-        tape.record(TapeNode(out, backward_fn_factory(out)))
+        out.tape_node = TapeNode(make_backward(*routes), out_data.shape)
+        tape.record(out.tape_node)
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray, rows: Optional[np.ndarray] = None,
-                owned: bool = False) -> None:
-    """Add gradient ``g`` into ``t.grad``, or into its ``rows`` when given;
-    a missing ``t.grad`` is zeros.
+def _accumulate(to: "TapeNode | Tensor", g: np.ndarray,
+                rows: Optional[np.ndarray] = None, owned: bool = False) -> None:
+    """Add gradient ``g`` into ``to.grad``, or into its ``rows`` when given;
+    a missing ``to.grad`` is zeros.
 
     A leaf's first gradient becomes a buffer of its own: ``g + 0.0``, or g
     itself plus 0.0 in place when the caller ``owned`` it (a fresh product
     no other tensor sees); either rounds as adding g into zeros, -0.0
-    included. Later ones are added into that buffer in place. An op output
-    takes its first whole gradient as is; later ones, and row updates, are
-    added out of place. So an array that also reached another tensor
+    included. Later ones are added into that buffer in place. A node takes
+    its first whole gradient as is; later ones, and row updates, are
+    added out of place. So an array that also reached another route
     (``add`` hands the same ``g`` to both inputs) is never written or kept
     by a leaf.
     """
-    leaf = t.tape_node is None  # or the output of a tape already swept or released
-    if t.grad is None and rows is None:
-        t.grad = np.add(g, 0.0, out=g if owned else None) if leaf else g
+    leaf = isinstance(to, Tensor)
+    if to.grad is None and rows is None:
+        to.grad = np.add(g, 0.0, out=g if owned else None) if leaf else g
     elif rows is None:
         if leaf:
-            t.grad += g
+            to.grad += g
         else:
-            t.grad = t.grad + g
+            to.grad = to.grad + g
     else:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
+        if to.grad is None:
+            to.grad = np.zeros(to.shape)
         elif not leaf:
-            t.grad = t.grad.copy()
-        t.grad[rows] += g
+            to.grad = to.grad.copy()
+        to.grad[rows] += g
 
 
 class LowRank:
@@ -274,14 +307,17 @@ def matmul(a: "Tensor | LowRank", b: Tensor, bias: Optional[Tensor] = None) -> T
                 f"{b.data.shape[1]} output columns")
         out_data += bias.data
 
-    def make_backward(out):
+    def make_backward(to_a, to_b, to_bias=None):
+        a_data = a.data if to_b is not None else None
+        b_data = b.data if to_a is not None else None
+
         def backward(g):
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, g.sum(axis=0))
-            if a.requires_grad:
-                _accumulate(a, _matmul_rows(g, b.data.T))
-            if b.requires_grad:
-                _accumulate(b, a.data.T @ g, owned=True)
+            if to_bias is not None:
+                _accumulate(to_bias, g.sum(axis=0))
+            if to_a is not None:
+                _accumulate(to_a, _matmul_rows(g, b_data.T))
+            if to_b is not None:
+                _accumulate(to_b, a_data.T @ g, owned=True)
         return backward
 
     inputs = (a, b) if bias is None else (a, b, bias)
@@ -322,10 +358,9 @@ def block_diag_matmul(blocks: np.ndarray, x: Tensor, block_ids: np.ndarray,
 
     out_data = apply(blocks, x.data)
 
-    def make_backward(out):
+    def make_backward(to_x):
         def backward(g):
-            if x.requires_grad:
-                _accumulate(x, apply(blocks.transpose(0, 2, 1), g))
+            _accumulate(to_x, apply(blocks.transpose(0, 2, 1), g))
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -340,13 +375,14 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
             raise ShapeMismatchError(
                 f"concat_rows parts differ in width: {[p.data.shape for p in parts]}")
     bounds = np.cumsum([0] + [r.shape[0] for r in rows]).tolist()
+    shapes = [p.data.shape for p in parts]
     out_data = np.concatenate(rows, axis=0)
 
-    def make_backward(out):
+    def make_backward(*routes):
         def backward(g):
-            for p, s, e in zip(parts, bounds[:-1], bounds[1:]):
-                if p.requires_grad:
-                    _accumulate(p, g[s:e].reshape(p.data.shape))
+            for to, shape, s, e in zip(routes, shapes, bounds[:-1], bounds[1:]):
+                if to is not None:
+                    _accumulate(to, g[s:e].reshape(shape))
         return backward
 
     return _record(parts, out_data, make_backward)
@@ -379,11 +415,11 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
             f"min={idx.min()}, max={idx.max()}")
     out_data = x.data[idx]
 
-    def make_backward(out):
+    def make_backward(to_x):
         def backward(g):
-            if x.requires_grad and idx.size:
+            if idx.size:
                 rows, sums = _sum_rows_by_id(g, idx)
-                _accumulate(x, sums, rows)
+                _accumulate(to_x, sums, rows)
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -409,10 +445,9 @@ def scatter_sum(values: Tensor, segment_ids: np.ndarray, num_segments: int) -> T
         rows, sums = _sum_rows_by_id(values.data, ids)
         out_data[rows] = sums
 
-    def make_backward(out):
+    def make_backward(to_values):
         def backward(g):
-            if values.requires_grad:
-                _accumulate(values, g[ids])
+            _accumulate(to_values, g[ids])
         return backward
 
     return _record((values,), out_data, make_backward)
@@ -442,10 +477,9 @@ def segment_mean_pool(x: "Tensor | LowRank", segment_ids: np.ndarray,
         rows, sums = _sum_rows_by_id(x.data, ids)
         out_data[rows] = sums / denom[rows]
 
-    def make_backward(out):
+    def make_backward(to_x):
         def backward(g):
-            if x.requires_grad:
-                _accumulate(x, (g / denom)[ids])
+            _accumulate(to_x, (g / denom)[ids])
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -468,12 +502,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             f"add shapes incompatible: {a.data.shape} vs {b.data.shape}")
     out_data = a.data + b.data
 
-    def make_backward(out):
+    def make_backward(to_a, to_b):
         def backward(g):
-            if a.requires_grad:
-                _accumulate(a, g)
-            if b.requires_grad:
-                _accumulate(b, g.sum(axis=0) if bias_mode else g)
+            if to_a is not None:
+                _accumulate(to_a, g)
+            if to_b is not None:
+                _accumulate(to_b, g.sum(axis=0) if bias_mode else g)
         return backward
 
     return _record((a, b), out_data, make_backward)
@@ -484,10 +518,9 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
     c = float(c)
     out_data = x.data * c
 
-    def make_backward(out):
+    def make_backward(to_x):
         def backward(g):
-            if x.requires_grad:
-                _accumulate(x, g * c)
+            _accumulate(to_x, g * c)
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -514,31 +547,40 @@ def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
             f"mul shapes incompatible: {a.data.shape} vs {b.data.shape}")
     out_data = a.data * b.data
 
-    def make_backward(out):
+    def make_backward(to_a, to_b):
+        a_data = a.data if to_b is not None else None
+        b_data = b.data if to_a is not None else None
+        b_shape = b.data.shape
+
         def backward(g):
-            if a.requires_grad:
-                _accumulate(a, g * b.data)
-            if b.requires_grad:
+            if to_a is not None:
+                _accumulate(to_a, g * b_data)
+            if to_b is not None:
                 if mode == "same":
-                    _accumulate(b, g * a.data)
+                    _accumulate(to_b, g * a_data)
                 elif mode == "scalar":
-                    _accumulate(b, np.asarray(np.vdot(g, a.data)).reshape(b.data.shape))
+                    _accumulate(to_b, np.asarray(np.vdot(g, a_data)).reshape(b_shape))
                 else:
-                    _accumulate(b, (g * a.data).sum(axis=0))
+                    _accumulate(to_b, (g * a_data).sum(axis=0))
         return backward
 
     return _record((a, b), out_data, make_backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    out_data = np.maximum(x.data, 0.0)
+def relu(x: Tensor, overwrite_input: bool = False) -> Tensor:
+    """max(x, 0). With ``overwrite_input`` the result is written into x's
+    array, which the caller must own: a fresh op output that nothing else
+    reads, such as an affine output (``matmul`` keeps its operands, never
+    its output), and that the caller does not read again. The rule keeps
+    only the mask, taken from the output: max(x, 0) > 0 exactly where
+    x > 0, NaN included."""
+    out_data = np.maximum(x.data, 0.0, out=x.data if overwrite_input else None)
 
-    def make_backward(out):
-        mask = x.data > 0.0
+    def make_backward(to_x):
+        mask = out_data > 0.0
 
         def backward(g):
-            if x.requires_grad:
-                _accumulate(x, g * mask)
+            _accumulate(to_x, g * mask)
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -557,10 +599,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     out_data = _sigmoid(x.data)
 
-    def make_backward(out):
+    def make_backward(to_x):
         def backward(g):
-            if x.requires_grad:
-                _accumulate(x, g * out.data * (1.0 - out.data))
+            _accumulate(to_x, g * out_data * (1.0 - out_data))
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -583,10 +624,9 @@ def dropout(x: Tensor, p: float, rng: Optional[RngStream], mode: str) -> Tensor:
     scale = 1.0 / (1.0 - p)
     out_data = x.data * keep * scale
 
-    def make_backward(out):
+    def make_backward(to_x):
         def backward(g):
-            if x.requires_grad:
-                _accumulate(x, g * keep * scale)
+            _accumulate(to_x, g * keep * scale)
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -600,12 +640,15 @@ def row_dot(a: Tensor, b: Tensor) -> Tensor:
             f"row_dot shapes differ: {a.data.shape} vs {b.data.shape}")
     out_data = np.einsum("ij,ij->i", a.data, b.data)
 
-    def make_backward(out):
+    def make_backward(to_a, to_b):
+        a_data = a.data if to_b is not None else None
+        b_data = b.data if to_a is not None else None
+
         def backward(g):
-            if a.requires_grad:
-                _accumulate(a, g[:, None] * b.data)
-            if b.requires_grad:
-                _accumulate(b, g[:, None] * a.data)
+            if to_a is not None:
+                _accumulate(to_a, g[:, None] * b_data)
+            if to_b is not None:
+                _accumulate(to_b, g[:, None] * a_data)
         return backward
 
     return _record((a, b), out_data, make_backward)
@@ -615,10 +658,11 @@ def sum_all(x: Tensor) -> Tensor:
     """Sum of all elements, as a scalar tensor."""
     out_data = np.asarray(x.data.sum())
 
-    def make_backward(out):
+    shape = x.data.shape
+
+    def make_backward(to_x):
         def backward(g):
-            if x.requires_grad:
-                _accumulate(x, np.full_like(x.data, g))
+            _accumulate(to_x, np.full(shape, g))
         return backward
 
     return _record((x,), out_data, make_backward)
@@ -649,10 +693,9 @@ def bce_with_logits(pred: Tensor, target: np.ndarray,
     per_elem = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     out_data = np.asarray(np.sum(per_elem * m) / n)
 
-    def make_backward(out):
+    def make_backward(to_pred):
         def backward(g):
-            if pred.requires_grad:
-                _accumulate(pred, g * m * (_sigmoid(z) - y) / n)
+            _accumulate(to_pred, g * m * (_sigmoid(z) - y) / n)
         return backward
 
     return _record((pred,), out_data, make_backward)
@@ -729,24 +772,26 @@ def batchnorm1d(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
         state.running_var *= 1.0 - mom
         state.running_var += mom * unbiased
 
-        def make_backward(out):
+        def make_backward(to_x, to_gamma, to_beta):
+            gamma_data = gamma.data
+
             def backward(g):
                 scratch = None
-                if gamma.requires_grad:
+                if to_gamma is not None:
                     scratch = np.multiply(g, xhat)
-                    _accumulate(gamma, scratch.sum(axis=0))
-                if beta.requires_grad:
-                    _accumulate(beta, g.sum(axis=0))
-                if x.requires_grad:
+                    _accumulate(to_gamma, scratch.sum(axis=0))
+                if to_beta is not None:
+                    _accumulate(to_beta, g.sum(axis=0))
+                if to_x is not None:
                     # (inv_std/B)·(B·dx̂ − Σdx̂ − x̂·Σ(dx̂·x̂)), in place
-                    dxhat = g * gamma.data
+                    dxhat = g * gamma_data
                     dot = np.multiply(dxhat, xhat, out=scratch).sum(axis=0)
                     total = dxhat.sum(axis=0)
                     dxhat *= B
                     dxhat -= total
                     dxhat -= np.multiply(xhat, dot, out=xhat)  # x̂'s last read
                     dxhat *= inv_std / B
-                    _accumulate(x, dxhat)
+                    _accumulate(to_x, dxhat)
             return backward
 
         return _record((x, gamma, beta), out_data, make_backward)
@@ -760,16 +805,19 @@ def batchnorm1d(x: Tensor, state: BatchNormState, mode: str) -> Tensor:
         out_data = np.multiply(xhat, gamma.data, out=None if keep else xhat)
         out_data += beta.data
 
-        def make_backward(out):
+        def make_backward(to_x, to_gamma, to_beta):
+            gamma_data = gamma.data
+            kept_xhat = xhat if to_gamma is not None else None  # else the output
+
             def backward(g):
-                if gamma.requires_grad:
-                    _accumulate(gamma, (g * xhat).sum(axis=0))
-                if beta.requires_grad:
-                    _accumulate(beta, g.sum(axis=0))
-                if x.requires_grad:
-                    dx = g * gamma.data
+                if to_gamma is not None:
+                    _accumulate(to_gamma, (g * kept_xhat).sum(axis=0))
+                if to_beta is not None:
+                    _accumulate(to_beta, g.sum(axis=0))
+                if to_x is not None:
+                    dx = g * gamma_data
                     dx *= inv_std
-                    _accumulate(x, dx)
+                    _accumulate(to_x, dx)
             return backward
 
         return _record((x, gamma, beta), out_data, make_backward)

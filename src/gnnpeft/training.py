@@ -464,7 +464,8 @@ def pretrain_edgepred(dataset: Dataset, model: ModelConfig, cfg: TrainConfig,
         reg.set_trainable(name, False)
     # the last batch's node states live until the next batch's replace them:
     # freed at batch end, they let glibc trim the heap top, and re-faulting
-    # it costs ~10% of an epoch at d=512
+    # it takes 1.3-2x the minor page faults and up to ~7% of the time of
+    # pre-training at d=512
     x = None
 
     def batch_loss(chunk, rng):

@@ -314,21 +314,24 @@ class TestSweep:
             sweep_plan(kind, model=model, bottleneck=15, **grid)
 
     # literal row fingerprints of one small scratch sweep per kind: a
-    # fingerprint names a run, so how a plan is built must not move it
+    # fingerprint names a run, so how a plan is built must not move it.
+    # The sweeps pass bottleneck=2, which only adaptergnn rows read; a full
+    # row carries the default b=15, so its name is the one a sweep at the
+    # default bottleneck gives it
     ORACLE = {
         "model_size": (dict(d_grid=(6, 8), modes=("full", "adaptergnn")),
-                       ["1e0d0098f67e4ce3", "243d4be067599cda", "3b2d9e053c8759b9",
-                        "51ca99455e86237d", "5de987ad909c7eee", "a74dfbe828509b8a",
-                        "ebca355334827e07", "f4ddb613f59b2d6b"]),
+                       ["020a3ec3b5ebd7ba", "1e0d0098f67e4ce3", "394255801f8a09b1",
+                        "3b2d9e053c8759b9", "51ca99455e86237d", "af16de379b140f9a",
+                        "f4ddb613f59b2d6b", "f9d504b0401fb463"]),
         "data_size": (dict(frac_grid=(0.5,), modes=("full", "adaptergnn")),
-                      ["6a7103f329d6d2b8", "7191dac79f319fc8", "a58a5ddc07dd3ac8",
-                       "a915478269c06cdf"]),
+                      ["136de440b6dd9a46", "7191dac79f319fc8", "a58a5ddc07dd3ac8",
+                       "b2b7116b9d83da2c"]),
         "bottleneck": (dict(b_grid=(0, 2)),
                        ["4aab2256b45970c2", "806c767f8185f88a", "cc0e697a4188c0c2",
                         "fc29200587eedc8d"]),
         "expressivity": (dict(d_full_grid=(4, 8)),
-                         ["01f9b5ed6278184e", "44ca2ce0c84e63fa", "49f966ec717555c1",
-                          "90e578d05a18493a", "a81602abda230c19", "eb25a58bf5792826"]),
+                         ["01f9b5ed6278184e", "17e1e052c0fbcfaf", "23e70053f485b8ba",
+                          "49f966ec717555c1", "4b257e9abf937fe9", "bd777e281e25cbe3"]),
     }
 
     @staticmethod
@@ -356,6 +359,23 @@ class TestSweep:
                      seeds=(0, 1), **grid)
         assert [r["fingerprint"] for r in rows] == fingerprints
         self.assert_rows_regenerate(ds, rows)
+
+    @pytest.mark.parametrize("kind, grid", [
+        ("model_size", dict(d_grid=(8,), modes=("full", "adaptergnn"))),
+        ("data_size", dict(frac_grid=(0.5,), modes=("full", "adapter_par"))),
+        ("expressivity", dict(d_full_grid=(4,)))])
+    def test_unread_bottleneck_does_not_name_the_row(self, kind, grid):
+        # a full row reads no bottleneck, so any requested b plans it with
+        # the default and one name; an adapter row is named by its b
+        model = ModelConfig(emb_dim=8, num_layers=1, num_tasks=2, vocab=VOCAB)
+        plans = [sweep_plan(kind, model=model, bottleneck=b, **grid) for b in (3, 5)]
+        full = [[t for t in p if t["mode"] == "full"] for p in plans]
+        adapters = [[t for t in p if t["mode"] != "full"] for p in plans]
+        assert full[0] == full[1] and full[0]
+        assert all(t["b"] == PeftConfig.bottleneck for t in full[0])
+        assert [t["b"] for t in adapters[0]] == [3] * len(adapters[0])
+        assert ({config_fingerprint(t) for t in adapters[0]}
+                .isdisjoint(config_fingerprint(t) for t in adapters[1]))
 
     def test_pretrain_epochs_name_the_row(self):
         ds = tiny_dataset()

@@ -654,6 +654,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("kind,first,second", [
         ("model_size", ["emb=8"], ["emb=8", "b=15", "batch_size=32"]),
+        ("model_size", ["emb=6", "b=3"], ["emb=6", "b=15"]),  # full reads no b
         ("data_size", ["emb=8", "seed=0", "frac=0.5"],
          ["emb=8,16", "seed=0,0", "frac=0.5"])])
     def test_spellings_of_one_plan_share_a_directory(self, kind, first, second,
@@ -820,6 +821,13 @@ class TestBadFlagValues:
             "a bottleneck sweep does not read mode, frac, dfull"),
         "sweep-model-size-frac": (SWEEP_ONE + ["frac=0.5"],
                                   "a model_size sweep does not read frac"),
+        # found by tests/test_cli_fuzz.py: both ended in a traceback
+        "bound-negative-params": (["bound", "--n", "10", "--delta", "0.1",
+                                   "--params", "-1"],
+                                  "parameter count cannot be negative"),
+        "bound-train-error": (["bound", "--n", "10", "--delta", "0.1", "--logH", "1",
+                               "--train-error", "2"],
+                              "train_error must be in [0, 1], got 2.0"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -4,8 +4,12 @@ The oracles below are the earlier ``Adam.step``, ``batchnorm1d`` and
 ``add(matmul(x, w), b)`` written out in numpy with the same expressions;
 the rewrites must reproduce them bit for bit. The lifetime tests build
 graphs with fan-out and aliasing, check them against finite differences,
-and check what a sweep leaves behind.
+and check what a sweep leaves behind, and that a forward value no
+backward rule reads is freed as soon as the forward moves past it.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ import pytest
 from gnnpeft import tensor as T
 from gnnpeft.config import TrainConfig
 from gnnpeft.registry import ParamRegistry
+from gnnpeft.rng import RngStream
 from gnnpeft.training import ADAM_BETAS, ADAM_CHUNK, ADAM_EPS, Adam
 
 from gradcheck import assert_grads_close
@@ -312,18 +317,28 @@ class TestGradientLifetime:
         assert_grads_close(build, leaves, h=1e-6)
 
     @pytest.mark.parametrize("name", GRAPHS)
-    def test_sweep_consumes_tape_and_keeps_leaf_buffers(self, name):
+    def test_sweep_consumes_tape_and_keeps_leaf_buffers(self, name, monkeypatch):
         # leaves start without a buffer; the sweep gives each one of its
         # own, which outlives the tape until zero_grad drops it
         leaves, build = _fan_out_graphs(np.random.default_rng(2))[name]
         assert all(p.grad is None for p in leaves)
+        built = []  # every op output the graph builds
+        original = T._record
+
+        def spy(inputs, out_data, make_backward):
+            built.append(original(inputs, out_data, make_backward))
+            return built[-1]
+        monkeypatch.setattr(T, "_record", spy)
         with T.Tape() as tape:
             loss = build(leaves)
-            recorded = [n.output for n in tape.nodes]
+            recorded = [out for out in built if out.tape_node is not None]
+            assert len(recorded) == len(tape.nodes) > 0
             tape.backward(loss)
             assert tape.nodes == []
             for out in recorded:
-                assert out.grad is None and out.tape_node is None
+                # no op output keeps a gradient, and its node is dead
+                assert out.grad is None
+                assert out.tape_node.grad is None and out.tape_node.backward_fn is None
             buffers = [p.grad for p in leaves]
             for p, buf in zip(leaves, buffers):
                 assert buf.shape == p.data.shape and buf.base is None
@@ -407,3 +422,132 @@ class TestGradientLifetime:
             tape.backward(T.sum_all(T.mul_scalar(y, 2.0)))
         assert np.array_equal(y.grad, np.full((2, 2), 2.0))
         assert np.array_equal(x.grad, np.full((2, 2), 3.0))
+
+
+# ---------------------------------------------------------------------------
+# the tape keeps only what backward rules read
+# ---------------------------------------------------------------------------
+
+def _unread_graphs(rng):
+    """name -> (leaves, build): each build(leaves, dropped) appends a weak
+    reference to every intermediate array no backward rule reads, and
+    returns the loss once the forward has moved past them."""
+    x = T.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    w2 = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    bias = T.Tensor(rng.normal(size=5), requires_grad=True)
+    bn = T.BatchNormState(T.Tensor(rng.normal(size=5), requires_grad=True),
+                          T.Tensor(rng.normal(size=5), requires_grad=True),
+                          np.zeros(5), np.ones(5))
+    c = T.Tensor(rng.normal(size=(6, 5)))
+    edge_term = T.Tensor(rng.normal(size=(6, 5)))
+    src, dst = np.array([0, 1, 2, 3, 4, 5, 1, 3]), np.array([1, 0, 3, 2, 5, 4, 2, 2])
+    blocks = rng.normal(size=(2, 3, 3))
+    block_ids, block_rows = np.repeat([0, 1], 3), np.tile([0, 1, 2], 2)
+
+    def head(y):
+        return T.sum_all(T.mul_elementwise(T.sigmoid(y), c))
+
+    def relu_input(ps, dropped):
+        h = T.matmul(ps[0], ps[1], ps[2])  # pre-ReLU affine output
+        dropped.append(weakref.ref(h.data))
+        return head(T.relu(h))
+
+    def batchnorm_input_and_output(ps, dropped):
+        h = T.matmul(ps[0], ps[1], ps[2])
+        o = T.batchnorm1d(h, bn, "train")
+        dropped += [weakref.ref(h.data), weakref.ref(o.data)]
+        return head(T.relu(o))
+
+    def add_inputs(ps, dropped):
+        a, b = T.matmul(ps[0], ps[1]), T.matmul(ps[0], ps[2])
+        s = T.add(a, b)
+        dropped += [weakref.ref(a.data), weakref.ref(b.data), weakref.ref(s.data)]
+        return head(s)
+
+    def message_pass_sum(ps, dropped):
+        h = T.matmul(ps[0], ps[1])
+        rows = T.gather_rows(h, src)
+        s = T.scatter_sum(rows, dst, 6)
+        dropped += [weakref.ref(a.data) for a in (h, rows, s)]
+        return head(T.relu(T.add(s, edge_term)))
+
+    def block_message_pass_sum(ps, dropped):
+        h = T.matmul(ps[0], ps[1])
+        s = T.block_diag_matmul(blocks, h, block_ids, block_rows)
+        dropped += [weakref.ref(h.data), weakref.ref(s.data)]
+        return head(T.add(s, edge_term))
+
+    def scalings_pool_and_dropout(ps, dropped):
+        h = T.matmul(ps[0], ps[1])
+        k = T.mul_scalar(h, 0.5)
+        d = T.dropout(k, 0.3, RngStream(0, ("drop",)), "train")
+        p = T.segment_mean_pool(d, np.array([0, 0, 1, 1, 1, 2]), 3)
+        dropped += [weakref.ref(a.data) for a in (h, k, d)]
+        return T.sum_all(T.sigmoid(p))
+
+    three = [x, w, bias]
+    return {"relu_input": (three, relu_input),
+            "batchnorm_input_and_output": (three, batchnorm_input_and_output),
+            "add_inputs": ([x, w, w2], add_inputs),
+            "message_pass_sum": ([x, w], message_pass_sum),
+            "block_message_pass_sum": ([x, w], block_message_pass_sum),
+            "scalings_pool_and_dropout": ([x, w], scalings_pool_and_dropout)}
+
+
+UNREAD = sorted(_unread_graphs(np.random.default_rng(0)))
+
+
+class TestUnreadValuesAreFreed:
+    @pytest.mark.parametrize("name", UNREAD)
+    def test_dead_once_the_forward_moves_on(self, name):
+        leaves, build = _unread_graphs(np.random.default_rng(4))[name]
+        dropped = []
+        gc.disable()  # refcounting alone must free them: no cycle to break
+        try:
+            with T.Tape() as tape:
+                loss = build(leaves, dropped)
+                assert dropped and all(r() is None for r in dropped)
+                tape.backward(loss)
+        finally:
+            gc.enable()
+        assert all(p.grad is not None for p in leaves)
+
+    @pytest.mark.parametrize("name", UNREAD)
+    def test_against_finite_differences(self, name):
+        leaves, build = _unread_graphs(np.random.default_rng(5))[name]
+        assert_grads_close(lambda ps: build(ps, []), leaves, h=1e-6)
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_relu_overwriting_its_input(self, recorded):
+        rng = np.random.default_rng(6)
+        x = T.Tensor(rng.normal(size=(7, 3)), requires_grad=recorded)
+        w = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c = T.Tensor(rng.normal(size=(7, 4)))
+        want = np.maximum(x.data @ w.data, 0.0)
+        with T.Tape() as tape:
+            h = T.matmul(x, w)
+            buffer = h.data
+            y = T.relu(h, overwrite_input=True)
+            assert y.data is buffer and np.array_equal(y.data, want)
+            tape.backward(T.sum_all(T.mul_elementwise(y, c)))
+        # the same gradients as a ReLU into a buffer of its own
+        got = [t.grad for t in (x, w) if t.requires_grad]
+        for t in (x, w):
+            t.zero_grad()
+        with T.Tape() as tape:
+            tape.backward(T.sum_all(T.mul_elementwise(T.relu(T.matmul(x, w)), c)))
+        for a, t in zip(got, [t for t in (x, w) if t.requires_grad]):
+            assert np.array_equal(a, t.grad)
+
+    def test_node_holds_no_tensor(self):
+        x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        w = T.Tensor(np.ones((3, 3)), requires_grad=True)
+        with T.Tape() as tape:
+            y = T.relu(T.matmul(x, w))
+            node = y.tape_node
+            assert node.shape == (2, 3) and node.grad is None
+            assert not any(isinstance(v, T.Tensor) for v in
+                           (getattr(node, slot) for slot in node.__slots__))
+            tape.backward(T.sum_all(y))
+        assert node.backward_fn is None and node.grad is None
