@@ -370,8 +370,10 @@ def _run_sweep_task(task: dict, train_ds: Dataset, test_ds: Dataset,
         reg.load_state(*pretrained_state)
     apply_peft(reg, model, peft, seed=task["seed"])
     fp = config_fingerprint(task)
+    # a row reads only the final epoch's AUCs, so only that epoch is evaluated
     record = train_supervised(train_ds, test_ds, reg, model, peft, tcfg,
-                              fingerprint=fp, config_echo=task)
+                              fingerprint=fp, config_echo=task,
+                              eval_every_epoch=False)
     counts = count_params(reg)
     return {
         "fingerprint": fp, "mode": task["mode"], "d": task["d"], "b": task["b"],

@@ -235,6 +235,14 @@ def open_run_dir(out_root, echo: dict, force: bool):
         raise
 
 
+def _out_dir(v: str) -> str:
+    """An ``--out`` directory flag's value, checked as it is parsed, so a
+    file in its place is a usage error before any work or output."""
+    if pathlib.Path(v).exists() and not pathlib.Path(v).is_dir():
+        raise UsageError(f"--out {v} is a file, not a directory")
+    return v
+
+
 def _write_json(out, name: str, payload: dict) -> None:
     """``payload`` as indented JSON with sorted keys in ``out/name``, if ``out``."""
     if out:
@@ -572,14 +580,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pretrain", help="edge-prediction pre-training")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.add_argument("--force", action="store_true")
     _add_run_flags(p, ModelConfig, TrainConfig)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="supervised training / fine-tuning")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_dir)
     p.add_argument("--force", action="store_true")
     p.add_argument("--backbone-ckpt")
     p.add_argument("--allow-random-backbone", action="store_true")
@@ -595,13 +603,13 @@ def build_parser() -> _Parser:
     p.add_argument("--backbone-ckpt")
     p.add_argument("--part", choices=("train", "valid", "test", "all"),
                    default="test")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_dir)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="run an experiment grid")
     p.add_argument("--kind", required=True, choices=tuple(SWEEP_KINDS))
     p.add_argument("--data", required=True)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_dir)
     p.add_argument("--csv", action="store_true",
                    help="also print the CSV to stdout")
     p.add_argument("--jobs", type=int, default=1)
@@ -614,7 +622,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("count-params", help="exact parameter counts")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_dir)
     _add_run_flags(p, ModelConfig, PeftConfig)
     p.set_defaults(func=cmd_count_params)
 
@@ -624,7 +632,7 @@ def build_parser() -> _Parser:
     p.add_argument("--avg-nodes", type=float, default=12.0)
     p.add_argument("--avg-edges", type=float, default=13.0)
     p.add_argument("--breakdown", action="store_true")
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_dir)
     _add_run_flags(p, ModelConfig, PeftConfig)
     p.set_defaults(func=cmd_flops)
 
@@ -635,7 +643,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--train-error", type=float, default=None)
-    p.add_argument("--out")
+    p.add_argument("--out", type=_out_dir)
     p.set_defaults(func=cmd_bound)
     return top
 

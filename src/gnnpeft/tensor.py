@@ -29,11 +29,18 @@ Conventions:
     output, a BN input or output, a sum) is freed as soon as the forward
     stops naming it, with no reference cycle to break;
   * a leaf tensor that requires grad has a ``grad`` buffer only from its
-    first gradient in a sweep until ``zero_grad`` drops it (the optimizer
-    step reads it in between); later gradients are added into it in
-    place. An op output has no ``grad``: its gradient lives on its node
-    during the reverse sweep, from the first incoming gradient until the
-    node's rule has run;
+    first gradient in a sweep until the optimizer has read it: a sweep
+    given ``on_leaf`` hands each leaf over as soon as its gradient is
+    complete, and the optimizer steps it and drops the buffer there;
+    otherwise ``zero_grad`` drops it after the step. Later gradients are
+    added into it in place. An op output has no ``grad``: its gradient
+    lives on its node during the reverse sweep, from the first incoming
+    gradient until the node's rule has run;
+  * a rule reads a trainable leaf's array only if it also routes a
+    gradient to that leaf (``matmul`` reads W to form its input's gradient
+    only when W trains, and so do batch norm with γ, ``mul_elementwise``
+    and ``row_dot``), so once the earliest-recorded rule routing to a leaf
+    has run, nothing in the sweep reads that leaf again;
   * one sweep consumes a tape, and an output of a swept or released tape
     is a leaf to any later tape;
   * stochastic ops take an explicit :class:`~gnnpeft.rng.RngStream`.
@@ -130,10 +137,21 @@ class Tape:
     plain refcounting frees a forward value once neither the forward nor
     a rule reads it. Leaving the ``with`` block releases whatever rules a
     sweep did not run.
+
+    While ops are recorded the tape notes, for each leaf some rule routes
+    a gradient to, the earliest-recorded such node. ``backward(loss,
+    on_leaf)`` calls ``on_leaf(t)`` once per noted leaf t, right after
+    that node is visited (whether its rule ran or was skipped because no
+    gradient reached it): no later rule adds to t's gradient, and since a
+    rule reads a trainable leaf's array only if it also routes a gradient
+    to that leaf, none reads t's array either. So ``on_leaf`` may update
+    t in place and drop its ``grad``.
     """
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        # id(leaf) -> (leaf, index of the earliest node routing to it)
+        self.leaves: dict[int, tuple[Tensor, int]] = {}
         self.consumed = False
 
     def record(self, node: TapeNode) -> None:
@@ -143,9 +161,11 @@ class Tape:
         for node in self.nodes:
             node.backward_fn = node.grad = None
         self.nodes.clear()
+        self.leaves.clear()
         self.consumed = True
 
-    def backward(self, loss: Tensor) -> None:
+    def backward(self, loss: Tensor,
+                 on_leaf: Optional[Callable[[Tensor], None]] = None) -> None:
         if self.consumed:
             raise TapeConsumedError(
                 "this tape was already swept or released; record a new one")
@@ -155,6 +175,11 @@ class Tape:
         if not loss.requires_grad:
             raise ValueError("loss does not require grad; nothing to backpropagate")
         self.consumed = True
+        due: dict[int, list[Tensor]] = {}
+        if on_leaf is not None:
+            for leaf, i in self.leaves.values():
+                due.setdefault(i, []).append(leaf)
+        self.leaves.clear()
         _accumulate(_route(loss), np.ones_like(loss.data))
         nodes = self.nodes
         while nodes:
@@ -163,6 +188,8 @@ class Tape:
             node.backward_fn = node.grad = None
             if g is not None:
                 rule(g)
+            for leaf in due.pop(len(nodes), ()):
+                on_leaf(leaf)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -193,7 +220,8 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, make_backward) -> Te
     """Create the output tensor and record it if a tape is listening and
     some input needs a gradient. ``make_backward`` is called with one
     route per input and returns the rule; it runs only when the op is
-    recorded, so it is where a rule takes the arrays it reads."""
+    recorded, so it is where a rule takes the arrays it reads. The tape
+    notes the first node to route to each leaf (see :class:`Tape`)."""
     out = Tensor(out_data)
     tape = active_tape()
     if tape is None:
@@ -202,6 +230,9 @@ def _record(inputs: Sequence[Tensor], out_data: np.ndarray, make_backward) -> Te
     if any(r is not None for r in routes):
         out.requires_grad = True
         out.tape_node = TapeNode(make_backward(*routes), out_data.shape)
+        for r in routes:
+            if isinstance(r, Tensor) and id(r) not in tape.leaves:
+                tape.leaves[id(r)] = (r, len(tape.nodes))
         tape.record(out.tape_node)
     return out
 

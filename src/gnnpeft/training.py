@@ -29,7 +29,8 @@ from .graphs import Dataset, Graph, batch as make_batch
 from .model import forward_logits, gin_node_states, init_params
 from .registry import ParamRegistry
 from .rng import RngStream
-from .tensor import EmptyLossError, Tape, bce_with_logits, gather_rows, row_dot
+from .tensor import (EmptyLossError, Tape, Tensor, bce_with_logits, gather_rows,
+                     row_dot)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -83,6 +84,12 @@ class Adam:
     parameter that got no gradient (``grad`` is None) is updated through
     the same operations with a gradient of zeros, read from a preallocated
     row of them.
+
+    A step may be split: ``update(t)`` applies the pending step to one
+    parameter as soon as its gradient is complete (``Tape.backward``'s
+    ``on_leaf``) and drops that gradient, and ``step()`` applies it to
+    every parameter not yet updated, then ends the step. Each element
+    goes through the same operations either way.
     """
 
     def __init__(self, registry: ParamRegistry, cfg: TrainConfig):
@@ -92,44 +99,62 @@ class Adam:
         self.m = {name: np.zeros_like(t.data) for name, t in self.slots}
         self.v = {name: np.zeros_like(t.data) for name, t in self.slots}
         self.t = 0
+        self._slot_of = {id(t): i for i, (_, t) in enumerate(self.slots)}
+        self._updated = [False] * len(self.slots)  # in the pending step
         width = min(ADAM_CHUNK, max((t.data.size for _, t in self.slots), default=0))
         self._scratch = np.empty((2, width))
         self._zeros = np.zeros(width)
 
+    def update(self, tensor: Tensor) -> None:
+        """Apply the pending step to ``tensor`` now and drop its gradient;
+        a tensor that is not a slot, or was already updated, is left alone."""
+        i = self._slot_of.get(id(tensor))
+        if i is not None and not self._updated[i]:
+            self._apply(i)
+            self._updated[i] = True
+            tensor.grad = None
+
     def step(self) -> None:
+        for i, done in enumerate(self._updated):
+            if not done:
+                self._apply(i)
+        self._updated = [False] * len(self.slots)
         self.t += 1
+
+    def _apply(self, i: int) -> None:
+        """Step ``t + 1`` for slot i."""
         b1, b2 = ADAM_BETAS
-        bc1 = 1.0 - b1 ** self.t
-        bc2 = 1.0 - b2 ** self.t
+        bc1 = 1.0 - b1 ** (self.t + 1)
+        bc2 = 1.0 - b2 ** (self.t + 1)
         lr, eps, wd = self.cfg.lr, ADAM_EPS, self.cfg.weight_decay
-        for name, tensor in self.slots:
-            p = _flat(tensor.data)
-            grad = None if tensor.grad is None else _flat(tensor.grad)
-            m, v = _flat(self.m[name]), _flat(self.v[name])
-            for lo in range(0, p.size, ADAM_CHUNK):
-                hi = min(lo + ADAM_CHUNK, p.size)
-                pc, mc, vc = p[lo:hi], m[lo:hi], v[lo:hi]
-                s, u = self._scratch[0, :hi - lo], self._scratch[1, :hi - lo]
-                g = self._zeros[:hi - lo] if grad is None else grad[lo:hi]
-                if wd:
-                    np.multiply(pc, wd, out=s)
-                    s += g  # g + wd·p
-                    g = s
-                mc *= b1
-                np.multiply(g, 1.0 - b1, out=u)
-                mc += u
-                vc *= b2
-                np.multiply(g, 1.0 - b2, out=u)
-                u *= g
-                vc += u
-                # p -= lr·(m/bc1) / (sqrt(v/bc2) + eps); g is no longer read
-                np.divide(mc, bc1, out=s)
-                s *= lr
-                np.divide(vc, bc2, out=u)
-                np.sqrt(u, out=u)
-                u += eps
-                s /= u
-                pc -= s
+        name, tensor = self.slots[i]
+        p = _flat(tensor.data)
+        grad = None if tensor.grad is None else _flat(tensor.grad)
+        m, v = _flat(self.m[name]), _flat(self.v[name])
+        for lo in range(0, p.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, p.size)
+            pc, mc, vc = p[lo:hi], m[lo:hi], v[lo:hi]
+            s, u = self._scratch[0, :hi - lo], self._scratch[1, :hi - lo]
+            g = self._zeros[:hi - lo] if grad is None else grad[lo:hi]
+            if wd:
+                np.multiply(pc, wd, out=s)
+                s += g  # g + wd·p
+                g = s
+            mc *= b1
+            np.multiply(g, 1.0 - b1, out=u)
+            mc += u
+            vc *= b2
+            np.multiply(g, 1.0 - b2, out=u)
+            u *= g
+            vc += u
+            # p -= lr·(m/bc1) / (sqrt(v/bc2) + eps); g is no longer read
+            np.divide(mc, bc1, out=s)
+            s *= lr
+            np.divide(vc, bc2, out=u)
+            np.sqrt(u, out=u)
+            u += eps
+            s /= u
+            pc -= s
 
     def zero_grad(self) -> None:
         self.registry.zero_grads()
@@ -220,7 +245,11 @@ def peak_rss_mb() -> float:
 @dataclass
 class RunRecord:
     """Per-epoch metrics plus the config fingerprint that reproduces them,
-    and per-epoch wall times, which it does not reproduce."""
+    and per-epoch wall times, which it does not reproduce.
+
+    An epoch that was trained but not evaluated (``train_supervised`` with
+    ``eval_every_epoch=False``) holds NaN train and test AUC; its loss and
+    wall times are recorded as usual."""
     train_loss: list[float] = field(default_factory=list)
     train_auc: list[float] = field(default_factory=list)
     test_auc: list[float] = field(default_factory=list)
@@ -307,6 +336,13 @@ def _fit(reg: ParamRegistry, cfg: TrainConfig, stream: str,
     skip the batch. Yields (epoch, weighted mean loss, or None if every
     batch was skipped) after each epoch; raises TrainingDivergedError on a
     non-finite loss.
+
+    The backward sweep steps each parameter as soon as its gradient is
+    complete (``Adam.update`` as ``on_leaf``) and drops that gradient, so
+    gradients do not pile up until the step; ``Adam.step`` then steps the
+    parameters no rule reached. After the final epoch's last step the
+    optimizer is dropped before that epoch is yielded, so its moments are
+    freed before the caller evaluates.
     """
     opt = Adam(reg, cfg)
     root = RngStream(cfg.seed, (stream,))
@@ -322,11 +358,13 @@ def _fit(reg: ParamRegistry, cfg: TrainConfig, stream: str,
                 val = float(loss.data)
                 if not np.isfinite(val):
                     raise TrainingDivergedError(epoch, val)
-                tape.backward(loss)
+                tape.backward(loss, on_leaf=opt.update)
             opt.step()
             opt.zero_grad()
             losses.append(val)
             weights.append(weight)
+        if epoch == cfg.epochs:
+            opt = None
         yield epoch, float(np.average(losses, weights=weights)) if weights else None
 
 
@@ -384,8 +422,12 @@ def evaluate_auc(dataset: Dataset, reg: ParamRegistry, model: ModelConfig,
 def train_supervised(train_ds: Dataset, test_ds: Dataset, reg: ParamRegistry,
                      model: ModelConfig, peft: PeftConfig, cfg: TrainConfig,
                      fingerprint: str = "", config_echo: Optional[dict] = None,
-                     ) -> RunRecord:
-    """Adam fine-tuning on the train split with per-epoch train/test AUC.
+                     eval_every_epoch: bool = True) -> RunRecord:
+    """Adam fine-tuning on the train split with per-epoch train/test AUC,
+    or with ``eval_every_epoch=False`` the final epoch's only (see
+    ``RunRecord``). Evaluation does not touch what training reads (eval BN
+    keeps its running statistics, dropout is the identity, and no random
+    stream is drawn), so skipping it changes nothing trained.
 
     Updates only trainable tensors (frozen ones are bitwise untouched by
     construction). Raises TrainingDivergedError on a non-finite loss and
@@ -407,8 +449,12 @@ def train_supervised(train_ds: Dataset, test_ds: Dataset, reg: ParamRegistry,
         if loss is None:
             raise UnlabelledEpochError(epoch)
         record.train_loss.append(loss)
-        record.train_auc.append(evaluate_auc(train_ds, reg, model, peft))
-        record.test_auc.append(evaluate_auc(test_ds, reg, model, peft))
+        if eval_every_epoch or epoch == cfg.epochs:
+            record.train_auc.append(evaluate_auc(train_ds, reg, model, peft))
+            record.test_auc.append(evaluate_auc(test_ds, reg, model, peft))
+        else:
+            record.train_auc.append(float("nan"))
+            record.test_auc.append(float("nan"))
         record.train_s.append(trained - start)
         start = time.perf_counter()
         record.eval_s.append(start - trained)

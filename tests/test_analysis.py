@@ -252,6 +252,20 @@ class TestSweep:
         assert csv1 == csv2  # byte-identical rerun
         assert csv1.splitlines()[0] == ",".join(SWEEP_COLUMNS)
 
+    def test_rows_evaluate_only_the_final_epoch(self):
+        ds = tiny_dataset()
+        model = ModelConfig(emb_dim=8, num_layers=2, num_tasks=2, dropout=0.0,
+                            vocab=VOCAB)
+        (row,) = sweep("model_size", ds, model=model, train=fast_train(),
+                       d_grid=(8,), modes=("full",), seeds=(0,))
+        record = row["record"]
+        assert len(record.train_loss) == fast_train().epochs
+        assert np.isnan(record.train_auc[:-1]).all()
+        assert np.isnan(record.test_auc[:-1]).all()
+        assert row["test_auc"] == record.test_auc[-1]
+        assert row["train_err"] == 1.0 - record.train_auc[-1]
+        assert np.isfinite(row["gap"])
+
     def test_rows_sorted_by_fingerprint(self):
         ds = tiny_dataset()
         model = ModelConfig(emb_dim=6, num_layers=1, num_tasks=2, dropout=0.0,

@@ -844,6 +844,34 @@ class TestBadFlagValues:
         assert message in err
         assert stdout == "" and not out.exists()
 
+    # every subcommand that takes --out, given a file there: refused
+    # before any data is read, any training runs or any result is printed
+    OUT_FILE_CASES = {
+        "gen-data": ["gen-data"],
+        "pretrain": ["pretrain", "--epochs", "1"],
+        "train": ["train", "--mode", "full"] + SMALL_MODEL + FAST_TRAIN,
+        "eval": ["eval", "--ckpt", "t.ckpt"],
+        "sweep": SWEEP_ONE,
+        "count-params": ["count-params", "--emb", "8"],
+        "flops": ["flops", "--emb", "8"],
+        "bound": ["bound", "--n", "10", "--delta", "0.1", "--logH", "1"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(OUT_FILE_CASES))
+    def test_out_naming_a_file(self, command, dataset, capsys, tmp_path):
+        occupied = tmp_path / "occupied"
+        occupied.write_text("kept\n")
+        argv = self.OUT_FILE_CASES[command] + ["--out", str(occupied)]
+        if command in ("pretrain", "train", "eval", "sweep"):
+            argv += ["--data", str(dataset)]
+        code, stdout, err = run(capsys, argv)
+        assert code == 1, err
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        message = ("exists; pass --force" if command == "gen-data"
+                   else "is a file, not a directory")
+        assert message in err
+        assert stdout == "" and occupied.read_text() == "kept\n"
+
 
 # The flag -> key map as it stood when argparse dests were flag names,
 # copied verbatim: the oracle for the schema that replaced it.

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from gnnpeft.config import ModelConfig, PeftConfig, TrainConfig
+from gnnpeft.config import PEFT_MODES, ModelConfig, PeftConfig, TrainConfig
 from gnnpeft.graphs import (Dataset, Graph, SplitSpec, Vocab,
                             batch as make_batch, generate_synthetic, split)
 from gnnpeft.model import forward_logits, gin_node_states, init_params
@@ -179,8 +179,7 @@ def _relabel(graphs, labels_for):
 # ---------------------------------------------------------------------------
 
 class TestSupervisedMatchesOracle:
-    @pytest.mark.parametrize("mode", ["full", "adaptergnn", "lora",
-                                      "prompt_node", "bitfit"])
+    @pytest.mark.parametrize("mode", PEFT_MODES)
     def test_modes_with_dropout_and_weight_decay(self, mode):
         train_ds, test_ds = _splits()
         cfg = TrainConfig(epochs=3, batch_size=8, lr=1e-2, weight_decay=0.01,

@@ -3,12 +3,15 @@
 Evaluation forwards a dataset in chunks of whole graphs under a row
 budget, so its logits must equal one whole-split forward and its peak
 must not grow with the dataset. A leaf's gradient buffer lives only from
-its first gradient in a sweep until ``zero_grad``, so the optimizer must
-still compute what it computed with preallocated buffers: the literal
-state hashes below were taken from the code that preallocated them.
+its first gradient in a sweep until the optimizer has stepped it, within
+the sweep once its gradient is complete, so the optimizer must still
+compute what it computed with preallocated buffers stepped after the
+sweep: the literal state hashes below were taken from that code. The
+optimizer's moments are freed before the final epoch is evaluated.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -290,3 +293,52 @@ def test_state_hashes_after_pretraining_and_fine_tuning_are_unchanged():
                                      weight_decay=0.01, seed=0))
         got[mode] = reg.state_hash()
     assert got == STATE_HASHES
+
+
+# ---------------------------------------------------------------------------
+# optimizer state lives only while a step reads it
+# ---------------------------------------------------------------------------
+
+def test_weight_gradients_do_not_pile_up_until_the_step(monkeypatch):
+    # each parameter is stepped, and its gradient dropped, as soon as the
+    # sweep completes it: at most 4 gradients are held at once here (the
+    # edge tables wait for layer 0, which reads them too), where stepping
+    # after the sweep held all 18 by its end
+    train, test = trend_splits()
+    model = ModelConfig(emb_dim=128, num_layers=2, num_tasks=4, dropout=0.3,
+                        vocab=TREND_VOCAB)
+    reg = init_params(model, seed=0)
+    held, update = [], Adam.update
+
+    def spy(self, tensor):
+        held.append(sum(p.tensor.grad is not None for _, p in reg.items()))
+        update(self, tensor)
+    monkeypatch.setattr(Adam, "update", spy)
+    train_supervised(train, test, reg, model, PeftConfig(mode="full"),
+                     TrainConfig(epochs=1, batch_size=128, seed=0))
+    batches = -(-len(train) // 128)
+    assert len(held) == batches * len(reg.trainable_tensors())
+    assert max(held) <= 4, held
+
+
+def test_final_evaluation_runs_with_the_moments_freed(monkeypatch):
+    alive, refs = [], []
+
+    class Tracked(Adam):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.extend(weakref.ref(a) for a in (self, *self.m.values(),
+                                                 *self.v.values()))
+
+    def spy(*args, **kwargs):
+        alive.append(any(r() is not None for r in refs))
+        return evaluate(*args, **kwargs)
+    evaluate = training.evaluate_auc
+    monkeypatch.setattr(training, "Adam", Tracked)
+    monkeypatch.setattr(training, "evaluate_auc", spy)
+    ds, reg, model, peft = small_model("adaptergnn")
+    train, _, test = G.split(ds, G.SplitSpec(mode="random"), seed=0)
+    train_supervised(train, test, reg, model, peft,
+                     TrainConfig(epochs=3, batch_size=8, lr=1e-2, seed=0))
+    # train and test splits per epoch; the moments live through epochs 1-2
+    assert alive == [True] * 4 + [False] * 2

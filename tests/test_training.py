@@ -243,6 +243,26 @@ class TestTrainLoop:
             train_supervised(train_ds, test_ds, reg, model, peft, cfg)
         assert exc.value.epoch == 1
 
+    @pytest.mark.parametrize("mode", ["full", "adaptergnn"])
+    def test_final_epoch_only_evaluation_changes_nothing_trained(self, mode):
+        records, hashes = [], []
+        for every in (True, False):
+            train_ds, test_ds, reg, model, peft = small_setup(mode, seed=2)
+            cfg = TrainConfig(epochs=3, batch_size=8, lr=1e-2, seed=2)
+            records.append(train_supervised(train_ds, test_ds, reg, model, peft,
+                                            cfg, eval_every_epoch=every))
+            hashes.append(reg.state_hash())
+        every, final = records
+        assert hashes[0] == hashes[1]
+        assert final.train_loss == every.train_loss
+        for field in ("train_auc", "test_auc"):
+            got, want = getattr(final, field), getattr(every, field)
+            assert np.isnan(got[:-1]).all() and got[-1] == want[-1]
+        assert final.summary() == every.summary()
+        rows = final.to_csv().splitlines()
+        assert len(rows) == 4 and rows[1].endswith(",nan,nan,nan")
+        assert rows[-1] == every.to_csv().splitlines()[-1]
+
     def test_evaluate_auc_chunking_invariant(self):
         # the default budget holds the whole split (16 floats a row);
         # 40 rows cut it into chunks of about three graphs
