@@ -62,7 +62,8 @@ def main() -> int:
         reg.load_state(*backbone)
         apply_peft(reg, model, peft, seed=args.seed)
         counts = count_params(reg)
-        rec = train_supervised(tr, te, reg, model, peft, tcfg)
+        # only the final epoch's AUCs are printed, so only it is evaluated
+        rec = train_supervised(tr, te, reg, model, peft, tcfg, eval_every_epoch=False)
         print(f"{peft.mode:>12} {counts.trainable:>10} {counts.fraction:>9.4f} "
               f"{rec.test_auc[-1]:>9.4f} {rec.gap:>7.3f}")
     return 0

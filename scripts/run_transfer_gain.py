@@ -55,8 +55,11 @@ def main() -> int:
                            seed=seed)
         scratch_reg = init_params(model, seed=seed)
         apply_peft(scratch_reg, model, peft, seed=seed)
+        # a pair reads the final epoch's error and epoch-1 loss, so only the
+        # final epoch is evaluated
         scratch = train_supervised(labeled, te, scratch_reg, model, peft, tcfg,
-                                   config_echo={"seed": seed, "init": "scratch"})
+                                   config_echo={"seed": seed, "init": "scratch"},
+                                   eval_every_epoch=False)
 
         pre_reg, _ = pretrain_edgepred(
             tr, model, TrainConfig(epochs=args.pretrain_epochs, batch_size=32,
@@ -65,7 +68,8 @@ def main() -> int:
         warm_reg.load_state(*encoder_state(pre_reg))
         apply_peft(warm_reg, model, peft, seed=seed)
         warm = train_supervised(labeled, te, warm_reg, model, peft, tcfg,
-                                config_echo={"seed": seed, "init": "pretrained"})
+                                config_echo={"seed": seed, "init": "pretrained"},
+                                eval_every_epoch=False)
         pairs.append((scratch, warm))
         print(f"seed {seed}: epoch-1 loss {scratch.train_loss[0]:.4f} (scratch) "
               f"vs {warm.train_loss[0]:.4f} (pre-trained); "

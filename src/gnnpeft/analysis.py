@@ -42,7 +42,7 @@ def hoeffding_gap(log_hypothesis_size: float, n: int, delta: float) -> float:
     """sqrt((ln|H| + ln(2/δ)) / (2n)) — the uniform-convergence margin."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if log_hypothesis_size < 0.0:
+    if not log_hypothesis_size >= 0.0:
         raise ValueError(f"log hypothesis size must be >= 0, got {log_hypothesis_size}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -394,17 +394,23 @@ def _subsample(ds: Dataset, frac: float, seed: int) -> Dataset:
     return ds.subset([int(i) for i in order[:k]])
 
 
-# kind -> (the grid argument it varies, the inits it takes, the runs at grid
-# value v as (mode, d, b, extra task keys) given the request's width d and
-# bottleneck b); expressivity's adapter arm recurs and is planned once
+# kind -> (the arguments it varies, its grid first; the run keys it reads as
+# one value; its inits; its runs at grid value v as (mode, d, b, extra task
+# keys) given the request's width d, bottleneck b and modes). model_size varies
+# d (MLP hidden stays 2d) per mode; data_size keeps each fraction of the train
+# split; bottleneck varies the dual adapters' width b (0 is the identity);
+# expressivity sets dual adapters on a frozen random backbone against full
+# training at each width, planning the recurring adapter arm once
 SWEEP_KINDS = {
-    "model_size": ("d_grid", ("scratch", "pretrained"),
+    "model_size": (("d_grid", "modes", "seeds"), ("bottleneck",),
+                   ("scratch", "pretrained"),
                    lambda v, d, b, modes: [(m, v, b, {}) for m in modes]),
-    "data_size": ("frac_grid", ("scratch", "pretrained"),
+    "data_size": (("frac_grid", "modes", "seeds"), ("emb_dim", "bottleneck"),
+                  ("scratch", "pretrained"),
                   lambda v, d, b, modes: [(m, d, b, {"frac": v}) for m in modes]),
-    "bottleneck": ("b_grid", ("scratch", "pretrained"),
+    "bottleneck": (("b_grid", "seeds"), ("emb_dim",), ("scratch", "pretrained"),
                    lambda v, d, b, modes: [("adaptergnn", d, v, {})]),
-    "expressivity": ("d_full_grid", ("scratch",),
+    "expressivity": (("d_full_grid", "seeds"), ("emb_dim", "bottleneck"), ("scratch",),
                      lambda v, d, b, modes: [("adaptergnn", d, b, {}),
                                              ("full", v, b, {})]),
 }
@@ -412,29 +418,28 @@ SWEEP_KINDS = {
 
 def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
                train: TrainConfig = TrainConfig(),
-               bottleneck: int = PeftConfig.bottleneck,
-               d_grid: Sequence[int] = (), b_grid: Sequence[int] = (),
-               frac_grid: Sequence[float] = (), d_full_grid: Sequence[int] = (),
-               modes: Sequence[str] = ("full", "adaptergnn"),
-               init: str = "scratch", pretrain_epochs: Optional[int] = None,
-               seeds: Sequence[int] = (0,)) -> list[dict]:
+               bottleneck: int = PeftConfig.bottleneck, init: str = "scratch",
+               pretrain_epochs: Optional[int] = None, seeds: Sequence[int] = (0,),
+               **grids: Sequence) -> list[dict]:
     """Expand a sweep request into per-run task dicts, validating every
     grid point up front so bad grids fail before any work starts. A task
     holds every value its run reads but the data (a pretrained one its
     pre-training epochs, ``train.epochs`` by default), and the default
-    ``b`` when its mode reads no bottleneck; a request value no task
-    carries is refused, not dropped."""
+    ``b`` when its mode reads no bottleneck. ``grids`` are the arguments
+    the kind varies (``modes`` full and adaptergnn if unset); a request
+    value no task carries, or a grid the kind does not vary, is refused."""
     if kind not in SWEEP_KINDS:
         raise ConfigError(f"unknown sweep kind {kind!r}")
-    grid_arg, inits, runs = SWEEP_KINDS[kind]
-    grid = dict(d_grid=d_grid, b_grid=b_grid, frac_grid=frac_grid,
-                d_full_grid=d_full_grid)[grid_arg]
-    if not grid or not seeds:
-        raise ConfigError(f"{kind} sweep needs {grid_arg} and at least one seed")
+    varies, _, inits, runs = SWEEP_KINDS[kind]
+    if not grids.get(varies[0]) or not seeds:
+        raise ConfigError(f"{kind} sweep needs {varies[0]} and at least one seed")
     if init not in inits:
         raise ConfigError(f"{kind} sweep takes init {'|'.join(inits)}, got {init!r}")
     if pretrain_epochs is not None and init != "pretrained":
         raise ConfigError("pretrain_epochs needs init=pretrained")
+    unread = [a for a, v in grids.items() if v and a not in varies]
+    if unread:
+        raise ConfigError(f"{kind} sweep does not read {', '.join(unread)}")
     if (model.mlp_hidden, train.weight_decay) != (ModelConfig.mlp_hidden,
                                                   TrainConfig.weight_decay):
         raise ConfigError("sweep runs keep the default mlp_hidden and weight_decay")
@@ -444,8 +449,9 @@ def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
     if init == "pretrained":
         base["pretrain_epochs"] = (train.epochs if pretrain_epochs is None
                                    else pretrain_epochs)
+    modes = grids.get("modes") or ("full", "adaptergnn")
     tasks: list[dict] = []
-    for v in grid:
+    for v in grids[varies[0]]:
         for mode, d, b, extra in runs(v, model.emb_dim, bottleneck, modes):
             # a mode that reads no bottleneck holds the default, as
             # canonical_peft gives it, so b cannot fork its fingerprint
@@ -464,17 +470,10 @@ def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
 def sweep(kind: str, dataset: Dataset, *, jobs: int = 1,
           split_spec: SplitSpec = SplitSpec(mode="structure"),
           **plan) -> list[dict]:
-    """Run one of the four experiment recipes and return result rows;
-    ``plan`` holds ``sweep_plan``'s keywords.
-
-    model_size — vary embedding width d (MLP hidden stays 2d) for each
-        mode; ``init="pretrained"`` first runs edge-prediction
-        pre-training per (d, seed) and all modes share that backbone.
-    data_size  — subsample the train split to each fraction.
-    bottleneck — vary the adapter width b (0 = identity) in the
-        dual-adapter mode.
-    expressivity — dual-adapter structure over a frozen random backbone
-        vs. plain full training at the widths in ``d_full_grid``.
+    """Run one of the four experiment recipes in ``SWEEP_KINDS`` and return
+    result rows; ``plan`` holds ``sweep_plan``'s keywords. A pretrained
+    task's backbone is pre-trained by edge prediction once per (d, seed)
+    and shared by every mode.
 
     Rows are sorted by fingerprint, the hash of the row's task dict
     (``row["record"].config``); ``_run_sweep_task`` regenerates the row

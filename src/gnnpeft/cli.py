@@ -413,41 +413,50 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# sweep grid key -> (sweep_plan argument, caster of each list item)
-GRID_KEYS = {"emb": ("d_grid", _cast_int), "b": ("b_grid", _cast_int),
-             "frac": ("frac_grid", _cast_float), "dfull": ("d_full_grid", _cast_int),
-             "mode": ("modes", _cast_str), "seed": ("seeds", _cast_int)}
+# sweep grid key -> (caster of each list item, the sweep_plan arguments it
+# can feed); a kind's SWEEP_KINDS entry reads at most one of them
+GRID_KEYS = {"emb": (_cast_int, "d_grid", "emb_dim"), "frac": (_cast_float, "frac_grid"),
+             "b": (_cast_int, "b_grid", "bottleneck"), "mode": (_cast_str, "modes"),
+             "dfull": (_cast_int, "d_full_grid"), "seed": (_cast_int, "seeds")}
 # sweep scalar key -> the run key it sets (and whose caster it uses)
 SCALAR_KEYS = {"layers": "num_layers", "epochs": "epochs", "batch_size": "batch_size",
                "lr": "lr", "dropout": "dropout", **{k: k for k in VOCAB_KEYS}}
 # sweep scalar key -> caster, for sweep_plan's own scalar keywords
 PLAN_KEYS = {"init": _cast_str, "pretrain_epochs": _cast_int}
-# grid key -> the kinds that read it; every kind reads emb, b and seed (one
-# that does not vary d or b takes their first value)
-KIND_GRID_KEYS = {"mode": ("model_size", "data_size"), "frac": ("data_size",),
-                  "dfull": ("expressivity",)}
 
 
-def _parse_sweep_grid(pairs: Sequence[str], config_path) -> tuple[dict, dict]:
+def _sweep_request(kind: str, pairs: Sequence[str], config_path) -> tuple[dict, dict]:
+    """(run keys, ``sweep_plan`` keywords) of a sweep's ``key=value`` words: a
+    grid key feeds the argument of its own that the kind's ``SWEEP_KINDS``
+    entry reads, a list if varied, else one run key's value as a scalar does."""
     raw = parse_config_file(config_path) if config_path else {}
     for item in pairs:
         if "=" not in item:
             raise UsageError(f"sweep grid entries look like key=value, got {item!r}")
         key, val = item.split("=", 1)
         raw[key.strip()] = val.strip()
-    grids: dict[str, list] = {}
-    scalars: dict = {}
+    varies, once = SWEEP_KINDS[kind][:2]
+    fed = {k: set(GRID_KEYS[k][1:]) & {*varies, *once} for k in raw if k in GRID_KEYS}
+    unread = [k for k, args in fed.items() if not args]
+    if unread:  # refused rather than ignored
+        raise UsageError(f"a {kind} sweep does not read {', '.join(unread)}")
+    given, kw = {}, {}
     for key, val in raw.items():
         if key in GRID_KEYS:
-            grids[key] = [GRID_KEYS[key][1](key, p) for p in val.split(",")]
-        elif key in SCALAR_KEYS or key in PLAN_KEYS:
-            if "," in val and key not in VOCAB_KEYS:
-                raise UsageError(f"{key} does not sweep; got list {val!r}")
-            cast = PLAN_KEYS.get(key) or RUN_KEYS[SCALAR_KEYS[key]][1]
-            scalars[key] = cast(key, val)
+            (arg,), cast = fed[key], GRID_KEYS[key][0]
+        elif key in SCALAR_KEYS:
+            arg, cast = SCALAR_KEYS[key], RUN_KEYS[SCALAR_KEYS[key]][1]
+        elif key in PLAN_KEYS:
+            arg, cast = key, PLAN_KEYS[key]
         else:
             raise UsageError(f"unknown sweep key {key!r}")
-    return grids, scalars
+        if arg in varies:
+            kw[arg] = tuple(cast(key, p) for p in val.split(","))
+        elif "," in val and key not in VOCAB_KEYS:
+            raise UsageError(f"{key} takes one value in a {kind} sweep, got {val!r}")
+        else:
+            (kw if key in PLAN_KEYS else given)[arg] = cast(key, val)
+    return given, kw
 
 
 def cmd_sweep(args) -> int:
@@ -455,21 +464,9 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep needs --out and/or --csv")
     if args.jobs < 1:  # refused before the run directory opens, as sweep does
         raise UsageError(f"jobs must be >= 1, got {args.jobs}")
-    grids, scalars = _parse_sweep_grid(args.grid, args.config)
-    unread = [k for k, kinds in KIND_GRID_KEYS.items()
-              if k in grids and args.kind not in kinds]
-    if unread:  # refused rather than ignored
-        raise UsageError(f"a {args.kind} sweep does not read {', '.join(unread)}")
-    # the run keys given; the first emb is the width of kinds that do not vary d
-    given = {SCALAR_KEYS[k]: v for k, v in scalars.items() if k in SCALAR_KEYS}
-    if "emb" in grids:
-        given["emb_dim"] = grids["emb"][0]
-    model, _, train = build_run_configs(given)
-    kw = {arg: tuple(grids[k]) for k, (arg, _) in GRID_KEYS.items() if k in grids}
-    if "b" in grids:
-        kw["bottleneck"] = grids["b"][0]
-    kw.update({k: v for k, v in scalars.items() if k in PLAN_KEYS},
-              model=model, train=train)
+    given, kw = _sweep_request(args.kind, args.grid, args.config)
+    model, peft, train = build_run_configs(given)
+    kw.update(model=model, train=train, bottleneck=peft.bottleneck)
     plan = sweep_plan(args.kind, **kw)
     if len(plan) > CONFIRM_LIMIT and not args.yes:
         raise UsageError(f"sweep expands to {len(plan)} runs "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -83,6 +84,8 @@ class PeftConfig:
             raise ConfigError(f"lora_rank must be >= 1, got {self.lora_rank}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if not math.isfinite(self.scaling_init):
+            raise ConfigError(f"scaling_init must be finite, got {self.scaling_init}")
         if self.mode != "adaptergnn" and (self.tune_backbone_bias is not None
                                           or self.tune_backbone_bn):
             raise ConfigError(
@@ -109,10 +112,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr >= 0.0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for name, value in (("lr", self.lr), ("weight_decay", self.weight_decay)):
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 def config_fingerprint(cfg: dict) -> str:

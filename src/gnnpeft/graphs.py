@@ -87,7 +87,7 @@ class SplitSpec:
         if self.mode not in ("random", "structure"):
             raise ValueError(f"split mode must be random|structure, got {self.mode!r}")
         if (len(self.fractions) != 3 or abs(sum(self.fractions) - 1.0) > 1e-9
-                or any(f < 0 for f in self.fractions)):
+                or any(not f >= 0 for f in self.fractions)):
             raise ValueError("fractions must be three nonnegative train,valid,test "
                              f"shares summing to 1, got {self.fractions}")
 

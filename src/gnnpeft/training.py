@@ -52,7 +52,7 @@ class UnlabelledEpochError(ValueError):
 
 
 class MetricUndefinedError(ValueError):
-    """No task had both positive and negative labels; AUC is undefined."""
+    """AUC is undefined: a score is NaN, or no task has both labels."""
 
 
 # Adam updates this many elements at a time, so a chunk of the parameter,
@@ -196,12 +196,13 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray,
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.ndim == 1:
-        s = s[:, None]
-        y = y[:, None]
+        s, y = s[:, None], y[:, None]
         mask = None if mask is None else np.asarray(mask, dtype=bool)[:, None]
     m = np.ones(s.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if s.shape != y.shape or s.shape != m.shape:
         raise ValueError(f"scores {s.shape}, labels {y.shape}, mask {m.shape} differ")
+    if np.isnan(s[m]).any():  # NaN has no rank
+        raise MetricUndefinedError("ROC-AUC of NaN scores is undefined")
     per_task = []
     for t in range(s.shape[1]):
         sel = m[:, t]
@@ -349,20 +350,21 @@ def _fit(reg: ParamRegistry, cfg: TrainConfig, stream: str,
     for epoch in range(1, cfg.epochs + 1):
         order = root.child(f"epoch{epoch}.order").permutation(len(graphs))
         losses, weights = [], []
-        for bi, chunk in enumerate(_batches(graphs, order, cfg.batch_size)):
-            with Tape() as tape:
-                out = batch_loss(chunk, root.child(f"epoch{epoch}.batch{bi}"))
-                if out is None:
-                    continue
-                loss, weight = out
-                val = float(loss.data)
-                if not np.isfinite(val):
-                    raise TrainingDivergedError(epoch, val)
-                tape.backward(loss, on_leaf=opt.update)
-            opt.step()
-            opt.zero_grad()
-            losses.append(val)
-            weights.append(weight)
+        with np.errstate(all="ignore"):  # a non-finite loss is the report
+            for bi, chunk in enumerate(_batches(graphs, order, cfg.batch_size)):
+                with Tape() as tape:
+                    out = batch_loss(chunk, root.child(f"epoch{epoch}.batch{bi}"))
+                    if out is None:
+                        continue
+                    loss, weight = out
+                    val = float(loss.data)
+                    if not np.isfinite(val):
+                        raise TrainingDivergedError(epoch, val)
+                    tape.backward(loss, on_leaf=opt.update)
+                opt.step()
+                opt.zero_grad()
+                losses.append(val)
+                weights.append(weight)
         if epoch == cfg.epochs:
             opt = None
         yield epoch, float(np.average(losses, weights=weights)) if weights else None
@@ -411,8 +413,8 @@ def evaluate_auc(dataset: Dataset, reg: ParamRegistry, model: ModelConfig,
     scores, labels, masks = [], [], []
     for start, stop in eval_chunks([g.num_nodes for g in graphs], max_rows):
         b = make_batch(list(graphs[start:stop]), dataset.vocab)
-        logits = forward_logits(b, reg, model, peft, "eval")
-        scores.append(logits.data)
+        with np.errstate(all="ignore"):  # a NaN score is the report
+            scores.append(forward_logits(b, reg, model, peft, "eval").data)
         labels.append(b.labels)
         masks.append(b.label_mask)
     return roc_auc(np.concatenate(scores), np.concatenate(labels),

@@ -2,6 +2,7 @@
 the FLOPs hand ledger, sweep plumbing, and gap-report assembly."""
 
 import math
+import pathlib
 from dataclasses import replace
 
 import mpmath
@@ -39,7 +40,8 @@ class TestHoeffdingGap:
 
     @pytest.mark.parametrize("logh,n,delta", [(-1.0, 1, 0.05), (0.0, 0, 0.05),
                                               (0.0, 1, 0.0), (0.0, 1, 1.0),
-                                              (0.0, 1, 2.0)])
+                                              (0.0, 1, 2.0), (math.nan, 1, 0.05),
+                                              (0.0, 1, math.nan)])
     def test_domain_errors(self, logh, n, delta):
         with pytest.raises(ValueError):
             hoeffding_gap(logh, n, delta)
@@ -415,6 +417,82 @@ class TestSweep:
         rows = sweep("bottleneck", ds, model=model, train=fast_train(),
                      b_grid=(0,), seeds=(0,))
         assert rows[0]["b"] == 0
+
+
+# the sweep table of the README, written out: how each kind reads each grid key
+SWEEP_TABLE = """\
+| kind           | `emb`     | `b`       | `frac`  | `dfull` | `mode`  | `seed` |
+|----------------|-----------|-----------|---------|---------|---------|--------|
+| `model_size`   | varied    | one value | refused | refused | varied  | varied |
+| `data_size`    | one value | one value | varied  | refused | varied  | varied |
+| `bottleneck`   | one value | varied    | refused | refused | refused | varied |
+| `expressivity` | one value | one value | refused | varied  | refused | varied |
+"""
+# grid key -> (the sweep_plan argument it varies, the task key that shows
+# it, a request of one value, of two), then the one-value arguments
+VARIED = {"emb": ("d_grid", "d", (8,), (8, 12)), "b": ("b_grid", "b", (2,), (2, 3)),
+          "frac": ("frac_grid", "frac", (0.5,), (0.5, 1.0)),
+          "dfull": ("d_full_grid", "d", (4,), (4, 6)),
+          "mode": ("modes", "mode", ("adaptergnn",), ("adaptergnn", "full")),
+          "seed": ("seeds", "seed", (0,), (0, 1))}
+ONE_VALUE = {"emb": ("d", lambda v: dict(model=ModelConfig(emb_dim=v, num_layers=1,
+                                                           vocab=VOCAB))),
+             "b": ("b", lambda v: dict(bottleneck=v))}
+
+
+def _sweep_table() -> dict:
+    """(kind, key) -> varied | one value | refused, from ``SWEEP_TABLE``."""
+    head, _, *rows = [[c.strip(" `") for c in line.strip("|").split("|")]
+                      for line in SWEEP_TABLE.splitlines()]
+    return {(row[0], key): how for row in rows for key, how in zip(head[1:], row[1:])}
+
+
+class TestSweepGrammar:
+    def test_the_readme_shows_the_table(self):
+        readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+        assert SWEEP_TABLE in readme.read_text(encoding="utf-8")
+
+    @staticmethod
+    def plan(kind, **request):
+        """sweep_plan on a d=8 model, bottleneck 2, one value of every
+        argument the table says the kind varies, and ``request``."""
+        table = _sweep_table()
+        base = {VARIED[key][0]: VARIED[key][2] for key in VARIED
+                if table[kind, key] == "varied"}
+        base.update(ONE_VALUE["emb"][1](8), bottleneck=2)
+        return sweep_plan(kind, **{**base, **request})
+
+    @pytest.mark.parametrize("kind,key", sorted(_sweep_table()))
+    def test_sweep_plan_reads_as_the_table_says(self, kind, key):
+        how = _sweep_table()[kind, key]
+        arg, column, _, two = VARIED[key]
+        if how == "refused":
+            with pytest.raises(ConfigError,
+                               match=f"^{kind} sweep does not read {arg}$"):
+                self.plan(kind, **{arg: two})
+        elif how == "varied":
+            assert set(two) <= {t.get(column) for t in self.plan(kind, **{arg: two})}
+        else:
+            column, request = ONE_VALUE[key]
+            for v in (3, 5):  # the base plan has d=8 and b=2
+                assert v in {t[column] for t in self.plan(kind, **request(v))}
+
+    # the requests found to be dropped before sweep_plan refused them
+    @pytest.mark.parametrize("kind,kw,unread", [
+        ("bottleneck", dict(b_grid=(2,), modes=("lora",)), "modes"),
+        ("model_size", dict(d_grid=(8,), frac_grid=(0.5,)), "frac_grid"),
+        ("model_size", dict(d_grid=(8,), d_full_grid=(16,)), "d_full_grid"),
+        ("bottleneck", dict(model=ModelConfig(emb_dim=32), b_grid=(2,), d_grid=(64,)),
+         "d_grid"),
+        ("expressivity", dict(d_full_grid=(4,), b_grid=(2,), modes=("full",)),
+         "b_grid, modes")])
+    def test_unread_requests_are_refused(self, kind, kw, unread):
+        with pytest.raises(ConfigError, match=f"^{kind} sweep does not read {unread}$"):
+            sweep_plan(kind, **kw)
+
+    def test_modes_default_to_full_and_adaptergnn(self):
+        plan = sweep_plan("model_size", model=ModelConfig(vocab=VOCAB), d_grid=(32,))
+        assert [t["mode"] for t in plan] == ["full", "adaptergnn"]
 
 
 def record_for(init, d=8, seed=0, train_loss=(0.9, 0.5), train_auc=(0.6, 0.8),

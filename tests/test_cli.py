@@ -237,6 +237,18 @@ class TestTrainGuards:
         assert code == 2 and err == "error: training diverged at epoch 1: loss=nan\n"
         assert not list(runs.glob("*"))
 
+    # a finite lr this large makes the one step of each epoch non-finite:
+    # training stays quiet, and the final evaluation refuses NaN scores
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_fails_in_one_line(self, dataset, capsys, tmp_path):
+        runs = tmp_path / "runs"
+        code, out, err = run(capsys, ["train", "--data", str(dataset), "--out",
+                                      str(runs), "--mode", "full", "--batch-size", "64",
+                                      "--lr", "1e300"] + SMALL_MODEL)
+        assert code == 2 and out == "", err
+        assert err == "error: ROC-AUC of NaN scores is undefined\n"
+        assert not list(runs.glob("*"))
+
     @pytest.mark.parametrize("command", ["train", "pretrain"])
     def test_task_count_comes_from_the_data(self, command, dataset, capsys,
                                             tmp_path):
@@ -656,7 +668,7 @@ class TestSweepCommand:
         ("model_size", ["emb=8"], ["emb=8", "b=15", "batch_size=32"]),
         ("model_size", ["emb=6", "b=3"], ["emb=6", "b=15"]),  # full reads no b
         ("data_size", ["emb=8", "seed=0", "frac=0.5"],
-         ["emb=8,16", "seed=0,0", "frac=0.5"])])
+         ["emb=8", "seed=0,0", "frac=0.5", "b=3"])])
     def test_spellings_of_one_plan_share_a_directory(self, kind, first, second,
                                                      dataset, capsys, tmp_path):
         common = ["mode=full", "seed=0", "layers=1", "epochs=1", "dropout=0.0",
@@ -821,6 +833,28 @@ class TestBadFlagValues:
             "a bottleneck sweep does not read mode, frac, dfull"),
         "sweep-model-size-frac": (SWEEP_ONE + ["frac=0.5"],
                                   "a model_size sweep does not read frac"),
+        # non-finite floats are refused before any data is read
+        "train-lr-inf": (["train", "--mode", "full"] + SMALL_MODEL + FAST_TRAIN
+                         + ["--lr", "inf"], "lr must be finite and >= 0, got inf"),
+        "train-weight-decay-nan": (["train", "--mode", "full"] + SMALL_MODEL
+                                   + FAST_TRAIN + ["--weight-decay", "nan"],
+                                   "weight_decay must be finite and >= 0, got nan"),
+        "train-weight-decay-inf": (["train", "--mode", "full"] + SMALL_MODEL
+                                   + FAST_TRAIN + ["--weight-decay", "inf"],
+                                   "weight_decay must be finite and >= 0, got inf"),
+        "train-scaling-init-nan": (["train", "--mode", "adaptergnn", "--bottleneck", "4",
+                                    "--allow-random-backbone", "--scaling-init", "nan"]
+                                   + SMALL_MODEL + FAST_TRAIN,
+                                   "scaling_init must be finite, got nan"),
+        "train-scaling-init-inf": (["train", "--mode", "adaptergnn", "--bottleneck", "4",
+                                    "--allow-random-backbone", "--scaling-init", "inf"]
+                                   + SMALL_MODEL + FAST_TRAIN,
+                                   "scaling_init must be finite, got inf"),
+        "sweep-lr-inf": (SWEEP_ONE + ["lr=inf"], "lr must be finite and >= 0, got inf"),
+        "train-fractions-nan": (["train", "--mode", "full"] + SMALL_MODEL + FAST_TRAIN
+                                + ["--fractions", "nan,0.5,0.5"], "fractions must be three"),
+        "bound-logh-nan": (["bound", "--n", "10", "--delta", "0.1", "--logH", "nan"],
+                           "log hypothesis size must be >= 0, got nan"),
         # found by tests/test_cli_fuzz.py: both ended in a traceback
         "bound-negative-params": (["bound", "--n", "10", "--delta", "0.1",
                                    "--params", "-1"],
@@ -964,19 +998,36 @@ class TestRunKeySchema:
 
 
 class TestSweepWidth:
-    @pytest.mark.parametrize("kind,grid", [("bottleneck", ["b=0,2"]),
-                                           ("data_size", ["frac=0.5,1.0", "b=2"]),
-                                           ("expressivity", ["b=2", "dfull=4"])])
-    def test_first_emb_is_the_model_width(self, kind, grid, dataset, capsys):
-        code, out, err = run(capsys, ["sweep", "--kind", kind, "--data",
-                                      str(dataset), "--csv", "emb=8,16"] + grid
-                             + SWEEP_COMMON[1:])
+    # a kind that reads emb or b as one value refuses a list of them before
+    # the data loads (the data file is missing) and before --out is made;
+    # one value is the model width or the adapter bottleneck
+    @pytest.mark.parametrize("kind,grid,key", [
+        ("bottleneck", ["emb=8,16", "b=0,2"], "emb"),
+        ("data_size", ["emb=8,16", "frac=0.5", "mode=adaptergnn", "b=2"], "emb"),
+        ("expressivity", ["emb=8,16", "b=2", "dfull=4"], "emb"),
+        ("model_size", ["emb=8", "b=2,3", "mode=adaptergnn"], "b"),
+        ("expressivity", ["emb=8", "b=2,3", "dfull=4"], "b")])
+    def test_one_value_keys_refuse_a_list(self, kind, grid, key, dataset, capsys,
+                                          tmp_path):
+        common = [w for w in SWEEP_COMMON if not w.startswith("mode=")]
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, ["sweep", "--kind", kind, "--data",
+                                         str(tmp_path / "missing.jsonl"), "--out",
+                                         str(out)] + grid + common)
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith("usage error: ") and err.count("\n") == 1, err
+        values = next(w for w in grid if w.startswith(key + "=")).split("=")[1]
+        assert f"{key} takes one value in a {kind} sweep, got '{values}'" in err
+        one = [f"{key}={values.split(',')[0]}" if w.startswith(key + "=") else w
+               for w in grid]
+        code, stdout, err = run(capsys, ["sweep", "--kind", kind, "--data",
+                                         str(dataset), "--csv"] + one + common)
         assert code == 0, err
-        rows = list(csv.DictReader(out.splitlines()))
-        assert rows and all(r["d"] == "8" for r in rows
-                            if r["mode"] == "adaptergnn" or kind != "expressivity")
-        if kind == "expressivity":
-            assert sorted(r["d"] for r in rows) == ["4", "8"]
+        rows = list(csv.DictReader(stdout.splitlines()))
+        adapters = [r for r in rows if r["mode"] == "adaptergnn"]
+        assert adapters and all(r["d"] == "8" for r in adapters)
+        if kind != "bottleneck":
+            assert all(r["b"] == "2" for r in adapters)
 
 
 # one spelling of each default a sweep request may state or leave out
@@ -997,13 +1048,13 @@ def shared_dataset(tmp_path_factory):
 def sweep_spellings(draw):
     """Two spellings of one sweep request: the kind's grid, its seeds and
     scalars, then the same with explicit defaults, seeds repeated and
-    reordered, and extra widths where the kind reads only the first."""
+    reordered."""
     kind = draw(st.sampled_from(sorted(SWEEP_KIND_GRIDS)))
     seeds = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=1, max_size=2,
                           unique=True))
     base = SWEEP_KIND_GRIDS[kind] + ["layers=1", "epochs=1", "dropout=0.0",
                                      "node_vocab=2,2", "edge_vocab=2,2"]
-    if kind != "model_size":  # its width is the first emb
+    if kind != "model_size":  # its width is emb, one value
         base.append("emb=6")
     stated = {k: v for k, v in SWEEP_DEFAULTS.items()
               if not (kind == "bottleneck" and k == "b")}  # b is its grid
@@ -1011,12 +1062,8 @@ def sweep_spellings(draw):
     again = draw(st.lists(st.sampled_from(seeds), max_size=2))
     respelled = draw(st.permutations(seeds + again))
     extra = [f"{k}={v}" for k, v in stated.items() if draw(st.booleans())]
-    if kind != "model_size" and draw(st.booleans()):
-        widths = draw(st.lists(st.sampled_from([4, 8, 12]), min_size=1, max_size=2))
-        extra.append("emb=" + ",".join(map(str, [6] + widths)))
-    spelled = draw(st.permutations(
-        [w for w in base if not (w == "emb=6" and any(e.startswith("emb=") for e in extra))]
-        + extra + ["seed=" + ",".join(map(str, respelled))]))
+    spelled = draw(st.permutations(base + extra
+                                   + ["seed=" + ",".join(map(str, respelled))]))
     return kind, plain, spelled
 
 

@@ -152,6 +152,9 @@ def _argv(name, items, files, out):
     return argv + [f"{k}={v}" for k, v in items if not k.startswith("-")]
 
 
+# a numpy RuntimeWarning would be a stderr line a user sees, which pytest
+# collects instead; as an error it ends in main's traceback and fails here
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(data=st.data())
 def test_any_argv_exits_cleanly(files, tmp_path_factory, capsys, data):

@@ -10,6 +10,11 @@ sweep: the literal state hashes below were taken from that code. The
 optimizer's moments are freed before the final epoch is evaluated.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -26,6 +31,7 @@ from gnnpeft.tensor import Tape, bce_with_logits
 from gnnpeft.training import (EVAL_BUDGET, Adam, encoder_state, eval_chunks,
                               evaluate_auc, pretrain_edgepred, train_supervised)
 
+from child_env import child_env
 from test_message_passing import VOCAB as BIG_VOCAB, random_graphs
 
 TREND_VOCAB = G.Vocab((4, 2), (2, 2))
@@ -274,7 +280,9 @@ STATE_HASHES = {
 }
 
 
-def test_state_hashes_after_pretraining_and_fine_tuning_are_unchanged():
+def state_hashes() -> dict:
+    """Registry state hashes after pre-training and after fine-tuning the
+    pre-trained backbone in four modes, the workload ``STATE_HASHES`` pins."""
     ds = G.generate_synthetic(60, node_range=(8, 16), edge_prob=0.55,
                               vocab=TREND_VOCAB, n_tasks=4, seed=3)
     train, _, test = G.split(ds, TREND_SPLIT, seed=0)
@@ -292,7 +300,27 @@ def test_state_hashes_after_pretraining_and_fine_tuning_are_unchanged():
                          TrainConfig(epochs=2, batch_size=16, lr=1e-3,
                                      weight_decay=0.01, seed=0))
         got[mode] = reg.state_hash()
-    assert got == STATE_HASHES
+    return got
+
+
+def test_state_hashes_after_pretraining_and_fine_tuning_are_unchanged():
+    assert state_hashes() == STATE_HASHES
+
+
+@pytest.mark.parametrize("threads", ["1", "nproc"])
+def test_state_hashes_at_either_blas_thread_count(threads):
+    # the BLAS reads its thread count from the environment when numpy
+    # loads, so each count runs in a child process of its own; nproc is
+    # the most threads this machine gives the process, never more
+    if threads == "nproc":
+        threads = str(len(os.sched_getaffinity(0)))
+    env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    code = "import json, test_memory_bounds as t; print(json.dumps(t.state_hashes()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=pathlib.Path(__file__).parent, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == STATE_HASHES
 
 
 # ---------------------------------------------------------------------------

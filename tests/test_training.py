@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnnpeft.config import ModelConfig, PeftConfig, TrainConfig
+from gnnpeft.config import ConfigError, ModelConfig, PeftConfig, TrainConfig
 from gnnpeft.graphs import (SplitSpec, Vocab, batch as make_batch,
                             generate_synthetic, split)
 from gnnpeft.model import forward_logits, init_params
@@ -40,6 +40,17 @@ def small_setup(mode="full", seed=0, n_graphs=40, **peft_kw):
     reg = init_params(model, seed=seed)
     apply_peft(reg, model, peft, seed=seed)
     return train_ds, test_ds, reg, model, peft
+
+
+@pytest.mark.parametrize("cls,field,value", [
+    (TrainConfig, "lr", math.nan), (TrainConfig, "lr", math.inf),
+    (TrainConfig, "lr", -1.0), (TrainConfig, "weight_decay", math.nan),
+    (TrainConfig, "weight_decay", math.inf), (TrainConfig, "weight_decay", -1.0),
+    (PeftConfig, "scaling_init", math.nan), (PeftConfig, "scaling_init", math.inf),
+    (PeftConfig, "scaling_init", -math.inf)])
+def test_config_floats_must_be_finite(cls, field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        cls(**{field: value})
 
 
 class TestAdam:
@@ -137,6 +148,14 @@ class TestRocAuc:
     def test_single_class_undefined(self):
         with pytest.raises(MetricUndefinedError):
             roc_auc(np.array([0.3, 0.4]), np.array([1, 1]))
+
+    def test_nan_scores_undefined(self):
+        # a NaN equals no score, not even itself, so ranking it by ties
+        # looped forever; a masked NaN is not scored
+        with pytest.raises(MetricUndefinedError, match="NaN scores"):
+            roc_auc(np.array([0.3, np.nan, 0.4]), np.array([1, 0, 0]))
+        assert roc_auc(np.array([0.3, np.nan, 0.4]), np.array([1, 0, 0]),
+                       mask=np.array([True, False, True])) == 0.0
 
     def test_fully_masked_undefined(self):
         with pytest.raises(MetricUndefinedError):
