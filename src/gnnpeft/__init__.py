@@ -11,7 +11,7 @@ from .analysis import (BoundInput, FlopsEstimate, GapReport, ParamCounts,
 from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                      PEFT_MODES, config_fingerprint)
 from .graphs import (Dataset, DatasetFormatError, Graph, GraphBatch,
-                     SplitSpec, Vocab, batch, cyclomatic_number,
+                     SplitError, SplitSpec, Vocab, batch, cyclomatic_number,
                      generate_synthetic, load_jsonl, save_jsonl, split)
 from .model import forward_logits, gin_forward, gin_node_states, init_params
 from .peft import AdapterModule, ModeError, adapter_forward, apply_peft, lora_merge

@@ -24,8 +24,7 @@ from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                      config_fingerprint)
 from .graphs import Dataset, SplitSpec, split
 from .model import init_params
-from .peft import (ADAPTER_SLOTS, apply_peft, backbone_trainable, canonical_peft,
-                   check_fits)
+from .peft import ADAPTER_SLOTS, apply_peft, backbone_trainable, check_fits
 from .registry import ParamRegistry
 from .rng import RngStream
 from .training import (RunRecord, encoder_state, pretrain_edgepred,
@@ -453,9 +452,8 @@ def sweep_plan(kind: str, *, model: ModelConfig = ModelConfig(),
     tasks: list[dict] = []
     for v in grids[varies[0]]:
         for mode, d, b, extra in runs(v, model.emb_dim, bottleneck, modes):
-            # a mode that reads no bottleneck holds the default, as
-            # canonical_peft gives it, so b cannot fork its fingerprint
-            b = canonical_peft(PeftConfig(mode=mode, bottleneck=b)).bottleneck
+            # b as the run's PeftConfig holds it, so an unread b forks nothing
+            b = PeftConfig(mode=mode, bottleneck=b).bottleneck
             for s in seeds:
                 task = dict(base, mode=mode, d=d, b=b, seed=s, **extra)
                 if task not in tasks:

@@ -12,7 +12,8 @@ fails; the echo's run keys rebuild the configs via ``build_run_configs``.
 ``ModelConfig``/``PeftConfig``/``TrainConfig`` field (``vocab`` is split into
 ``node_vocab``/``edge_vocab``), a config-file key, a ``config.txt`` line and
 its flag's argparse dest; a sweep's scalar keys set run keys (``SCALAR_KEYS``)
-or ``sweep_plan`` keywords. Defaults live only in those dataclasses.
+or ``sweep_plan`` keywords. Defaults live only in those dataclasses, and so
+does the one spelling of a run: a config is canonical once built.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from .analysis import (SWEEP_KINDS, bound, BoundInput, count_params,
                        sweep, sweep_csv, sweep_plan)
 from .config import (ConfigError, ModelConfig, PeftConfig, TrainConfig,
                      config_fingerprint)
-from .graphs import (DatasetFormatError, SplitSpec, Vocab,
+from .graphs import (DatasetFormatError, SplitError, SplitSpec, Vocab,
                      generate_synthetic, load_jsonl, save_jsonl, split)
 from .model import init_params
-from .peft import ModeError, apply_peft, canonical_peft
+from .peft import ModeError, apply_peft
 from .registry import (CheckpointFormatError, file_hash, load_checkpoint,
                        save_checkpoint)
 from .training import (MetricUndefinedError, TrainingDivergedError,
@@ -200,10 +201,9 @@ def canonical_echo(model: ModelConfig, peft: PeftConfig, train: TrainConfig,
                    extra: Optional[dict] = None) -> dict:
     """Fully resolved flat config: every run key in canonical string
     form, so the fingerprint ignores which subset was passed explicitly.
-    Tuning fields the mode does not read echo their defaults, so they do
-    not fork the fingerprint either."""
-    values = {f.name: getattr(c, f.name)
-              for c in (model, canonical_peft(peft), train)
+    The configs are canonical as built, so no other spelling of the same
+    run (an unread tuning field, a spelled-out default width) forks it."""
+    values = {f.name: getattr(c, f.name) for c in (model, peft, train)
               for f in dataclasses.fields(c)}
     values.update({k: getattr(model.vocab, part) for k, part in VOCAB_KEYS.items()})
     echo = {k: _fmt(values[k]) for k in RUN_KEYS}
@@ -298,18 +298,26 @@ def cmd_pretrain(args) -> int:
 
 
 def _load_backbone(reg, path, model: ModelConfig) -> None:
-    """Load an encoder checkpoint built for ``model``'s shapes into ``reg``."""
+    """Load an encoder checkpoint into ``reg`` if the model config its echo
+    rebuilds has ``model``'s shapes (a key the echo lacks is ``model``'s)."""
     meta, params, buffers = load_checkpoint(path)
     if meta.get("kind") != "encoder":
         raise CheckpointFormatError(
             f"{path} is not an encoder checkpoint (kind {meta.get('kind')!r})")
-    cfg = meta.get("config", {})
-    want = canonical_echo(model, PeftConfig(), TrainConfig())
+    cfg, want = meta.get("config", {}), canonical_echo(model, PeftConfig(), TrainConfig())
+    if not isinstance(cfg, dict):
+        raise CheckpointFormatError(
+            f"{path}: encoder checkpoint meta 'config' must be an object, got {cfg!r}")
+    try:
+        built, _, _ = build_run_configs({k: want[k] if cfg.get(k) is None else str(cfg[k])
+                                         for k in want})
+    except UsageError as exc:
+        raise CheckpointFormatError(f"{path}: encoder checkpoint config: {exc}") from None
+    got = canonical_echo(built, PeftConfig(), TrainConfig())
     for key in ("emb_dim", "num_layers", "node_vocab", "edge_vocab", "mlp_hidden"):
-        got = cfg.get(key)
-        if got is not None and str(got) != want[key]:
+        if got[key] != want[key]:
             raise CheckpointFormatError(
-                f"backbone checkpoint was built with {key}={got}, "
+                f"backbone checkpoint was built with {key}={got[key]}, "
                 f"this run uses {key}={want[key]}")
     reg.load_state(params, buffers)
 
@@ -428,7 +436,7 @@ PLAN_KEYS = {"init": _cast_str, "pretrain_epochs": _cast_int}
 def _sweep_request(kind: str, pairs: Sequence[str], config_path) -> tuple[dict, dict]:
     """(run keys, ``sweep_plan`` keywords) of a sweep's ``key=value`` words: a
     grid key feeds the argument of its own that the kind's ``SWEEP_KINDS``
-    entry reads, a list if varied, else one run key's value as a scalar does."""
+    entry reads, a list if varied, else one value (``b``'s is a keyword)."""
     raw = parse_config_file(config_path) if config_path else {}
     for item in pairs:
         if "=" not in item:
@@ -455,7 +463,7 @@ def _sweep_request(kind: str, pairs: Sequence[str], config_path) -> tuple[dict, 
         elif "," in val and key not in VOCAB_KEYS:
             raise UsageError(f"{key} takes one value in a {kind} sweep, got {val!r}")
         else:
-            (kw if key in PLAN_KEYS else given)[arg] = cast(key, val)
+            (kw if arg in ("bottleneck", *PLAN_KEYS) else given)[arg] = cast(key, val)
     return given, kw
 
 
@@ -465,8 +473,8 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:  # refused before the run directory opens, as sweep does
         raise UsageError(f"jobs must be >= 1, got {args.jobs}")
     given, kw = _sweep_request(args.kind, args.grid, args.config)
-    model, peft, train = build_run_configs(given)
-    kw.update(model=model, train=train, bottleneck=peft.bottleneck)
+    model, _, train = build_run_configs(given)
+    kw.update(model=model, train=train)
     plan = sweep_plan(args.kind, **kw)
     if len(plan) > CONFIRM_LIMIT and not args.yes:
         raise UsageError(f"sweep expands to {len(plan)} runs "
@@ -645,7 +653,7 @@ def build_parser() -> _Parser:
     return top
 
 
-RUNTIME_ERRORS = (DatasetFormatError, CheckpointFormatError,
+RUNTIME_ERRORS = (DatasetFormatError, SplitError, CheckpointFormatError,
                   TrainingDivergedError, MetricUndefinedError, ModeError,
                   UnlabelledEpochError, OSError)
 

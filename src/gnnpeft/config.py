@@ -5,6 +5,8 @@ their fields. Validation happens at construction so that bad grids fail
 before any work starts. These defaults are the only ones: the CLI and the
 sweep runners pass just the values a user gave. Every field but ``vocab``
 (written ``node_vocab``/``edge_vocab``) is a CLI run key of the same name.
+A built config is canonical: fields its tuning mode does not read
+(``MODE_FIELDS``) and a spelled-out default MLP width take their defaults.
 """
 
 from __future__ import annotations
@@ -12,13 +14,27 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .graphs import Vocab
 
-PEFT_MODES = ("full", "adaptergnn", "adapter_seq", "adapter_par", "lora",
-              "bitfit", "ia3", "prompt_feat", "prompt_node", "partial_k")
+# Per tuning mode, the PeftConfig fields besides ``mode`` that change what
+# it computes; a built config holds every other field at its default.
+MODE_FIELDS = {
+    "full": (),
+    "adaptergnn": ("bottleneck", "scaling_init", "tune_backbone_bias",
+                   "tune_backbone_bn"),
+    "adapter_seq": ("bottleneck",),
+    "adapter_par": ("bottleneck",),
+    "lora": ("lora_rank",),
+    "bitfit": (),
+    "ia3": (),
+    "prompt_feat": (),
+    "prompt_node": (),
+    "partial_k": ("k",),
+}
+PEFT_MODES = tuple(MODE_FIELDS)
 
 
 class ConfigError(ValueError):
@@ -29,8 +45,8 @@ class ConfigError(ValueError):
 class ModelConfig:
     """Backbone architecture description.
 
-    ``mlp_hidden=None`` resolves to twice the embedding dimension, the
-    convention every sweep keeps when varying d.
+    ``mlp_hidden=None`` is twice the embedding dimension (and stored for
+    it), the convention every sweep keeps when varying d.
     """
     emb_dim: int = 300
     num_layers: int = 5
@@ -50,6 +66,8 @@ class ModelConfig:
             raise ConfigError(f"num_tasks must be >= 1, got {self.num_tasks}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.mlp_hidden == 2 * self.emb_dim:
+            object.__setattr__(self, "mlp_hidden", None)
 
     @property
     def hidden(self) -> int:
@@ -64,7 +82,8 @@ class PeftConfig:
     dual-adapter mode, the only one that reads them: ``None`` resolves to
     tuning the backbone MLP biases (its recipe), and backbone BN affine
     parameters stay frozen unless ``tune_backbone_bn`` is set. Any other
-    mode refuses a set value, so one experiment has one fingerprint.
+    mode refuses a set value; any field a mode does not read is checked,
+    then reset, so one experiment has one fingerprint.
     """
     mode: str = "full"
     bottleneck: int = 15
@@ -91,12 +110,13 @@ class PeftConfig:
             raise ConfigError(
                 "tune_backbone_bias and tune_backbone_bn apply only to mode "
                 f"adaptergnn, not {self.mode!r}")
+        for f in fields(self):
+            if f.name not in ("mode", *MODE_FIELDS[self.mode]):
+                object.__setattr__(self, f.name, f.default)
 
     @property
     def bias_tuning(self) -> bool:
-        if self.tune_backbone_bias is None:
-            return self.mode == "adaptergnn"
-        return self.tune_backbone_bias
+        return self.mode == "adaptergnn" and self.tune_backbone_bias is not False
 
 
 @dataclass(frozen=True)

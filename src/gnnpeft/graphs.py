@@ -25,6 +25,10 @@ class DatasetFormatError(ValueError):
     """A dataset file violates the JSONL graph format; message names the line."""
 
 
+class SplitError(ValueError):
+    """A dataset is too small for a split: some part would hold no graph."""
+
+
 @dataclass(frozen=True)
 class Vocab:
     """Categorical vocabulary sizes for the two node and two edge attributes."""
@@ -373,16 +377,16 @@ def split(dataset: Dataset, spec: SplitSpec = SplitSpec(),
     """Partition a dataset into train/valid/test per the spec'd fractions.
 
     Sizes are round(f·n) for train and valid with test taking the rest.
-    Raises if any split would be empty.
+    Raises SplitError if any part would be empty.
     """
     n = len(dataset)
     if n == 0:
-        raise ValueError("cannot split an empty dataset")
+        raise SplitError("cannot split an empty dataset")
     n_train = int(round(spec.fractions[0] * n))
     n_valid = int(round(spec.fractions[1] * n))
     n_test = n - n_train - n_valid
     if min(n_train, n_valid, n_test) <= 0:
-        raise ValueError(
+        raise SplitError(
             f"split of {n} graphs by {spec.fractions} leaves an empty part "
             f"({n_train}/{n_valid}/{n_test})")
     if spec.mode == "structure":

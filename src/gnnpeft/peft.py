@@ -3,8 +3,8 @@
 Each tuning decision lives once, in this module's mode table:
 ``backbone_trainable`` says which backbone and classifier parameters
 train, ``ADAPTER_SLOTS`` says where each adapter mode's adapters join a
-layer, ``MODE_FIELDS`` says which ``PeftConfig`` fields a mode reads,
-and ``check_fits`` says which widths and depths a mode accepts.
+layer, and ``check_fits`` says which widths and depths a mode accepts;
+``config.MODE_FIELDS`` says which ``PeftConfig`` fields a mode reads.
 ``apply_peft`` sets the flags and inserts the new parameters (group
 ``peft``); ``model.layer_forward`` and the FLOP walker in ``analysis``
 read the same table. The forward pass consults the registry by name, so
@@ -37,7 +37,7 @@ The classifier is trainable in every mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,31 +130,6 @@ ADAPTER_SLOTS = {
 }
 
 
-# Per mode, the PeftConfig fields besides ``mode`` that change what it
-# computes; every other field is ignored under that mode.
-MODE_FIELDS = {
-    "full": (),
-    "adaptergnn": ("bottleneck", "scaling_init", "tune_backbone_bias",
-                   "tune_backbone_bn"),
-    "adapter_seq": ("bottleneck",),
-    "adapter_par": ("bottleneck",),
-    "lora": ("lora_rank",),
-    "bitfit": (),
-    "ia3": (),
-    "prompt_feat": (),
-    "prompt_node": (),
-    "partial_k": ("k",),
-}
-
-
-def canonical_peft(peft: PeftConfig) -> PeftConfig:
-    """``peft`` with every field its mode does not read at its default, so
-    configs that compute the same thing compare (and fingerprint) equal."""
-    read = MODE_FIELDS[peft.mode]
-    return PeftConfig(**{f.name: getattr(peft, f.name) for f in fields(peft)
-                         if f.name == "mode" or f.name in read})
-
-
 def backbone_trainable(name: str, peft: PeftConfig, num_layers: int) -> bool:
     """Whether backbone or classifier parameter ``name`` trains under
     ``peft``. Parameters a mode inserts always train."""
@@ -167,7 +142,7 @@ def backbone_trainable(name: str, peft: PeftConfig, num_layers: int) -> bool:
     if ".mlp." in name and name.endswith(".bias"):
         return mode == "bitfit" or peft.bias_tuning
     if name.startswith("layer.") and name.endswith((".bn.gamma", ".bn.beta")):
-        return mode == "prompt_feat" or peft.tune_backbone_bn
+        return mode == "prompt_feat" or (mode == "adaptergnn" and peft.tune_backbone_bn)
     return False
 
 

@@ -557,6 +557,22 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
     return _record((x,), out_data, make_backward)
 
 
+# OpenBLAS splits a dot of more than 10,000 elements across its threads,
+# so the rounding of a longer one depends on the thread count
+DOT_BLOCK = 8192
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.float64:
+    """x·y of two arrays of one size, flattened, as one BLAS dot per
+    consecutive ``DOT_BLOCK``-element block summed in order: the same bits
+    at any BLAS thread count."""
+    x, y = x.ravel(), y.ravel()
+    total = np.vdot(x[:DOT_BLOCK], y[:DOT_BLOCK])
+    for i in range(DOT_BLOCK, x.size, DOT_BLOCK):
+        total += np.vdot(x[i:i + DOT_BLOCK], y[i:i + DOT_BLOCK])
+    return total
+
+
 def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product. b may also be a single-element tensor (scalar
     scaling, differentiable in both factors) or a (d,) row vector applied
@@ -590,7 +606,7 @@ def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
                 if mode == "same":
                     _accumulate(to_b, g * a_data)
                 elif mode == "scalar":
-                    _accumulate(to_b, np.asarray(np.vdot(g, a_data)).reshape(b_shape))
+                    _accumulate(to_b, np.asarray(_dot(g, a_data)).reshape(b_shape))
                 else:
                     _accumulate(to_b, (g * a_data).sum(axis=0))
         return backward

@@ -593,6 +593,104 @@ class TestOneFingerprintPerExperiment:
         assert float(grep_value(out, "auc")) == pytest.approx(test_auc, abs=1e-9)
 
 
+def _pretrain(capsys, dataset, out, flags=()) -> str:
+    code, stdout, err = run(capsys, ["pretrain", "--data", str(dataset), "--out",
+                                     str(out)] + SMALL_MODEL + FAST_TRAIN + list(flags))
+    assert code == 0, err
+    return grep_value(stdout, "checkpoint")
+
+
+def _with_echo(path, out, edit) -> pathlib.Path:
+    """A copy of checkpoint ``path`` at ``out`` whose meta echo is ``edit(echo)``."""
+    meta, params, buffers = load_checkpoint(path)
+    reg = ParamRegistry()
+    for name, arr in params.items():
+        reg.add(name, arr, True, "backbone")
+    for name, arr in buffers.items():
+        reg.add_buffer(name, arr)
+    save_checkpoint(out, reg, {**meta, "config": edit(meta["config"])})
+    return out
+
+
+class TestSpelledOutDefaultWidth:
+    """``--hidden`` at twice ``--emb`` is the default width: one run, one
+    fingerprint, and either spelling loads an encoder of the other."""
+
+    def test_train_shares_the_run_directory(self, dataset, capsys, tmp_path):
+        base = ["train", "--mode", "full", "--data", str(dataset)] \
+            + SMALL_MODEL + FAST_TRAIN
+        code, out, _ = run(capsys, base + ["--out", str(tmp_path / "a")])
+        assert code == 0
+        plain, auc = grep_value(out, "fingerprint"), grep_value(out, "final_test_auc")
+        code, out, _ = run(capsys, base + ["--hidden", "16", "--out", str(tmp_path / "b")])
+        assert code == 0
+        assert (grep_value(out, "fingerprint"), grep_value(out, "final_test_auc")) \
+            == (plain, auc)
+        config = (tmp_path / "a" / plain / "config.txt").read_text()
+        assert "mlp_hidden=none\n" in config
+        assert (tmp_path / "b" / plain / "config.txt").read_text() == config
+        assert main(base + ["--hidden", "16", "--out", str(tmp_path / "a")]) == 1
+
+    def test_pretrain_shares_the_run_directory(self, dataset, capsys, tmp_path):
+        plain = _pretrain(capsys, dataset, tmp_path / "pre")
+        spelled = _pretrain(capsys, dataset, tmp_path / "pre2", ["--hidden", "16"])
+        assert pathlib.Path(plain).parent.name == pathlib.Path(spelled).parent.name
+
+    # the encoder's echo as this code writes it (none), and as it was written
+    # for a spelled-out width before the width was made canonical (16)
+    @pytest.mark.parametrize("echoed", ["none", "16"])
+    def test_either_spelling_loads_the_encoder(self, echoed, dataset, capsys,
+                                               tmp_path):
+        encoder = _with_echo(_pretrain(capsys, dataset, tmp_path / "pre"),
+                             tmp_path / "encoder.ckpt",
+                             lambda echo: {**echo, "mlp_hidden": echoed})
+        base = ["train", "--mode", "adaptergnn", "--bottleneck", "3", "--data",
+                str(dataset), "--backbone-ckpt", str(encoder)] + SMALL_MODEL + FAST_TRAIN
+        got = []
+        for i, spelling in enumerate(([], ["--hidden", "16"])):
+            code, out, err = run(capsys, base + spelling + ["--out", str(tmp_path / f"r{i}")])
+            assert code == 0, err
+            got.append((grep_value(out, "fingerprint"), grep_value(out, "final_test_auc")))
+        assert got[0] == got[1]
+
+    def test_another_width_is_still_refused(self, dataset, capsys, tmp_path):
+        encoder = _pretrain(capsys, dataset, tmp_path / "pre")
+        runs = tmp_path / "runs"
+        code, out, err = run(capsys, ["train", "--mode", "adaptergnn", "--bottleneck",
+                                      "3", "--data", str(dataset), "--out", str(runs),
+                                      "--backbone-ckpt", encoder, "--hidden", "12"]
+                             + SMALL_MODEL + FAST_TRAIN)
+        assert code == 2 and out == ""
+        assert err == ("error: backbone checkpoint was built with mlp_hidden=none, "
+                       "this run uses mlp_hidden=12\n")
+        assert not runs.exists()
+
+    def test_encoder_echo_lacking_a_key_still_loads(self, dataset, capsys, tmp_path):
+        encoder = _with_echo(_pretrain(capsys, dataset, tmp_path / "pre"),
+                             tmp_path / "encoder.ckpt", lambda echo: {
+                                 k: v for k, v in echo.items()
+                                 if k not in ("mlp_hidden", "emb_dim")})
+        code, _, err = run(capsys, ["train", "--mode", "bitfit", "--data", str(dataset),
+                                    "--out", str(tmp_path / "runs"), "--backbone-ckpt",
+                                    str(encoder)] + SMALL_MODEL + FAST_TRAIN)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda echo: {**echo, "emb_dim": "eight"},
+         "encoder checkpoint config: emb_dim: expected integer, got 'eight'"),
+        (lambda echo: ["x"], "encoder checkpoint meta 'config' must be an object, "
+                             "got ['x']")])
+    def test_malformed_encoder_echo_names_the_file(self, edit, message, dataset,
+                                                   capsys, tmp_path):
+        encoder = _with_echo(_pretrain(capsys, dataset, tmp_path / "pre"),
+                             tmp_path / "encoder.ckpt", edit)
+        code, _, err = run(capsys, ["train", "--mode", "bitfit", "--data", str(dataset),
+                                    "--out", str(tmp_path / "runs"), "--backbone-ckpt",
+                                    str(encoder)] + SMALL_MODEL + FAST_TRAIN)
+        assert code == 2 and err.count("\n") == 1, err
+        assert err == f"error: {encoder}: {message}\n"
+
+
 SWEEP_COMMON = ["mode=full", "seed=0", "layers=1", "epochs=2", "batch_size=8",
                 "lr=0.01", "dropout=0.0", "node_vocab=2,2", "edge_vocab=2,2"]
 
@@ -877,6 +975,47 @@ class TestBadFlagValues:
         assert err.startswith("usage error: ") and err.count("\n") == 1, err
         assert message in err
         assert stdout == "" and not out.exists()
+
+    # a split that leaves a part empty is the data's fault: one error line
+    # at run time, exit 2, and no run directory (--fractions 1,0,0, or the
+    # default fractions splitting 5 graphs 4/0/1)
+    EMPTY_SPLIT_CASES = {
+        "train-fractions": (["train", "--mode", "full", "--fractions", "1,0,0"]
+                            + SMALL_MODEL + FAST_TRAIN, 60, "60 graphs by "
+                            "(1.0, 0.0, 0.0) leaves an empty part (60/0/0)"),
+        "train-5-graphs": (["train", "--mode", "full"] + SMALL_MODEL + FAST_TRAIN, 5,
+                           "5 graphs by (0.8, 0.1, 0.1) leaves an empty part (4/0/1)"),
+        "sweep-5-graphs": (SWEEP_ONE, 5,
+                           "5 graphs by (0.8, 0.1, 0.1) leaves an empty part (4/0/1)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EMPTY_SPLIT_CASES))
+    def test_empty_split_part_fails_in_one_line(self, case, capsys, tmp_path):
+        argv, n, message = self.EMPTY_SPLIT_CASES[case]
+        data = tmp_path / "few.jsonl"
+        assert run(capsys, ["gen-data", "--out", str(data), "--n", str(n)]
+                   + DATA_ARGS)[0] == 0
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, argv + ["--data", str(data), "--out", str(out)])
+        assert code == 2 and stdout == "", err
+        assert err == f"error: split of {message}\n"
+        assert not list(out.glob("*"))
+
+    def test_eval_of_a_split_leaving_an_empty_part(self, dataset, capsys, tmp_path):
+        code, stdout, _ = run(capsys, ["train", "--mode", "full", "--data", str(dataset),
+                                       "--out", str(tmp_path / "runs")]
+                              + SMALL_MODEL + FAST_TRAIN)
+        assert code == 0
+        task = tmp_path / "runs" / grep_value(stdout, "fingerprint") / "task.ckpt"
+        data = tmp_path / "few.jsonl"
+        assert run(capsys, ["gen-data", "--out", str(data), "--n", "5"] + DATA_ARGS)[0] == 0
+        out = tmp_path / "eval"
+        code, stdout, err = run(capsys, ["eval", "--data", str(data), "--ckpt", str(task),
+                                         "--out", str(out)])
+        assert code == 2 and stdout == "", err
+        assert err == ("error: split of 5 graphs by (0.8, 0.1, 0.1) leaves an empty "
+                       "part (4/0/1)\n")
+        assert not out.exists()
 
     # every subcommand that takes --out, given a file there: refused
     # before any data is read, any training runs or any result is printed

@@ -32,7 +32,9 @@ PLAUSIBLE = {
     **dict.fromkeys(["--nodes", "--node-vocab", "--edge-vocab", "node_vocab",
                      "edge_vocab"], ["2,2", "3,3", "2,3"]),
     "--mode": list(PEFT_MODES), "mode": ["full", "adaptergnn", "full,lora"],
-    "--fractions": ["0.6,0.2,0.2", "0.8,0.1,0.1"], "--hidden": ["none", "4"],
+    # 1,0,0 leaves a part of the split empty; 8 is twice the base --emb
+    "--fractions": ["1,0,0", "0.6,0.2,0.2", "0.8,0.1,0.1"],
+    "--hidden": ["8", "none", "4"],
     "--tune-backbone-bias": ["true", "false", "none"],
     "--tune-backbone-bn": ["true", "false"], "init": ["scratch", "pretrained"],
     "emb": ["4", "4,6"], "seed": ["0", "0,1"], "b": ["0", "2", "2,3"],
@@ -59,7 +61,8 @@ BASE = {
     "pretrain": [("--data", "data"), ("--out", "fresh"),
                  ("--config", "small_config")] + SMALL,
     "train": [("--data", "data"), ("--out", "fresh"), ("--config", "small_config"),
-              ("--mode", "full"), ("--batch-size", "8")] + SMALL,
+              ("--mode", "full"), ("--batch-size", "8"),
+              ("--fractions", "0.8,0.1,0.1")] + SMALL,
     "eval": [("--data", "data"), ("--ckpt", "task"), ("--backbone-ckpt", "encoder"),
              ("--out", "fresh")],
     "sweep": [("--kind", "model_size"), ("--data", "data"), ("--out", "fresh"),

@@ -307,20 +307,86 @@ def test_state_hashes_after_pretraining_and_fine_tuning_are_unchanged():
     assert state_hashes() == STATE_HASHES
 
 
-@pytest.mark.parametrize("threads", ["1", "nproc"])
-def test_state_hashes_at_either_blas_thread_count(threads):
-    # the BLAS reads its thread count from the environment when numpy
-    # loads, so each count runs in a child process of its own; nproc is
-    # the most threads this machine gives the process, never more
-    if threads == "nproc":
-        threads = str(len(os.sched_getaffinity(0)))
+# the BLAS reads its thread count from the environment when numpy loads, so
+# each count runs in a child process of its own; nproc is the most threads
+# this machine gives the process, never more
+THREAD_COUNTS = {"1": "1", "nproc": str(len(os.sched_getaffinity(0)))}
+
+
+def run_at_threads(argv, threads: str, cwd=pathlib.Path(__file__).parent) -> str:
+    """stdout of ``python argv`` in a child whose BLAS and OpenMP run
+    ``threads`` threads."""
     env = dict(child_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-    code = "import json, test_memory_bounds as t; print(json.dumps(t.state_hashes()))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          cwd=pathlib.Path(__file__).parent, capture_output=True,
-                          text=True, timeout=300)
+    proc = subprocess.run([sys.executable, *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == STATE_HASHES
+    return proc.stdout
+
+
+@pytest.mark.parametrize("threads", sorted(THREAD_COUNTS))
+def test_state_hashes_at_either_blas_thread_count(threads):
+    code = "import json, test_memory_bounds as t; print(json.dumps(t.state_hashes()))"
+    stdout = run_at_threads(["-c", code], THREAD_COUNTS[threads])
+    assert json.loads(stdout) == STATE_HASHES
+
+
+def wide_state_hashes() -> dict:
+    """Registry state hashes after one epoch of pre-training at d=512, then
+    one epoch each of ``full`` and ``adaptergnn`` (b=15) on that backbone.
+    An adapter output of a batch here has more than ``DOT_BLOCK`` elements,
+    so each scale gradient sums several dot blocks."""
+    train, test = trend_splits()
+    model = ModelConfig(emb_dim=512, num_layers=2, num_tasks=4, dropout=0.0,
+                        vocab=TREND_VOCAB)
+    cfg = TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=0)
+    pre, _ = pretrain_edgepred(train, model, cfg)
+    got = {"pretrain": pre.state_hash()}
+    for mode in ("full", "adaptergnn"):
+        reg = init_params(model, seed=0)
+        reg.load_state(*encoder_state(pre))
+        peft = PeftConfig(mode=mode)
+        apply_peft(reg, model, peft, seed=0)
+        train_supervised(train, test, reg, model, peft, cfg, eval_every_epoch=False)
+        got[mode] = reg.state_hash()
+    return got
+
+
+def test_wide_state_hashes_agree_across_blas_thread_counts():
+    code = ("import json, test_memory_bounds as t; "
+            "print(json.dumps(t.wide_state_hashes()))")
+    got = [json.loads(run_at_threads(["-c", code], t)) for t in THREAD_COUNTS.values()]
+    assert got[0] == got[1]
+
+
+# c12's command chain: a data file, a model-size sweep and a training run
+CLI_CHAIN = (
+    ["gen-data", "--out", "data.jsonl", "--n", "60", "--nodes", "6,12",
+     "--edge-prob", "0.5", "--node-vocab", "2,2", "--edge-vocab", "2,2",
+     "--tasks", "2", "--seed", "3"],
+    ["sweep", "--kind", "model_size", "--data", "data.jsonl", "--out", "sweeps",
+     "emb=6,8", "mode=full", "seed=0", "epochs=2", "batch_size=8", "lr=0.01",
+     "layers=1", "dropout=0.0", "node_vocab=2,2", "edge_vocab=2,2"],
+    ["train", "--data", "data.jsonl", "--out", "runs", "--mode", "full",
+     "--emb", "8", "--layers", "2", "--tasks", "2", "--dropout", "0.0",
+     "--node-vocab", "2,2", "--edge-vocab", "2,2", "--epochs", "3",
+     "--batch-size", "8", "--lr", "0.01", "--seed", "0", "--split", "structure",
+     "--fractions", "0.8,0.1,0.1"],
+)
+
+
+def test_cli_outputs_are_byte_identical_across_blas_thread_counts(tmp_path):
+    outputs = []
+    for name, threads in THREAD_COUNTS.items():
+        root = tmp_path / name
+        root.mkdir()
+        for argv in CLI_CHAIN:
+            run_at_threads(["-m", "gnnpeft", *argv], threads, cwd=root)
+        files = [*root.glob("sweeps/*/sweep.csv"), *root.glob("runs/*/record.csv"),
+                 *root.glob("runs/*/config.txt")]
+        assert len(files) == 3, files
+        # keyed by the path below the root, so the run names must agree too
+        outputs.append({str(f.relative_to(root)): f.read_bytes() for f in files})
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------

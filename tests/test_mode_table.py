@@ -10,6 +10,7 @@ backbone and compares their layout, train-mode logits, every gradient and
 the FLOP estimates with exact equality.
 """
 
+import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -17,7 +18,8 @@ import pytest
 
 from gnnpeft.analysis import (FLOP_COSTS, FlopsEstimate, _adapter_cost,
                               _FlopWalker, estimate_flops)
-from gnnpeft.config import PEFT_MODES, ConfigError, ModelConfig, PeftConfig
+from gnnpeft.config import (MODE_FIELDS, PEFT_MODES, ConfigError, ModelConfig,
+                            PeftConfig)
 from gnnpeft.graphs import GraphBatch, Vocab, batch, generate_synthetic
 from gnnpeft.model import (_adapter_out, backbone_layer, classify,
                            edge_embeddings, encode_nodes, gin_node_states,
@@ -404,3 +406,47 @@ class TestModeTable:
             (new.total, new.forward, new.backward)
         assert old.items == new.items
         assert old.variants == new.variants
+
+
+# ---------------------------------------------------------------------------
+# the mode-field table: a built config resets the fields its mode does not
+# read, which is safe only if no mode reads a field outside its entry
+# ---------------------------------------------------------------------------
+
+# non-default values of every PeftConfig field besides mode
+UNREAD_VALUES = {"bottleneck": (3, 0), "lora_rank": (2,), "scaling_init": (0.5,),
+                 "tune_backbone_bias": (True, False), "tune_backbone_bn": (True,),
+                 "k": (2,)}
+UNREAD_CASES = [(mode, name, value) for mode in PEFT_MODES
+                for name, values in UNREAD_VALUES.items()
+                if name not in MODE_FIELDS[mode] for value in values]
+
+
+def test_unread_values_cover_every_field():
+    names = {f.name for f in dataclasses.fields(PeftConfig)} - {"mode"}
+    assert set(UNREAD_VALUES) == names
+    for name, values in UNREAD_VALUES.items():
+        assert getattr(PeftConfig(), name) not in values, name
+
+
+@pytest.mark.parametrize("mode,name,value", UNREAD_CASES)
+def test_no_mode_reads_a_field_outside_its_entry(mode, name, value):
+    # wide enough for the default bottleneck
+    model = dataclasses.replace(_model(3), emb_dim=16)
+    default, unread = PeftConfig(mode=mode), PeftConfig(mode=mode)
+    object.__setattr__(unread, name, value)  # bypasses the reset
+    ref, reg = init_params(model, seed=3), init_params(model, seed=3)
+    apply_peft(ref, model, default, seed=4)
+    apply_peft(reg, model, unread, seed=4)
+    assert ref.names() == reg.names() and list(ref.buffers) == list(reg.buffers)
+    for (n, p), (_, q) in zip(ref.items(), reg.items()):
+        assert (p.trainable, p.group) == (q.trainable, q.group), n
+        assert np.array_equal(p.tensor.data, q.tensor.data), n
+    ds = generate_synthetic(6, (4, 8), 0.4, VOCAB, 2, seed=11)
+    b = batch(list(ds.graphs), VOCAB)
+    assert np.array_equal(_train_step(ref, model, default, b, gin_node_states),
+                          _train_step(reg, model, unread, b, gin_node_states))
+    assert ref.state_hash() == reg.state_hash()
+    for (n, p), (_, q) in zip(ref.items(), reg.items()):
+        if p.trainable:
+            assert np.array_equal(p.tensor.grad, q.tensor.grad), n

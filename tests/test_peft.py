@@ -8,7 +8,8 @@ from gnnpeft import graphs as G
 from gnnpeft import model as M
 from gnnpeft import tensor as T
 from gnnpeft.analysis import count_params
-from gnnpeft.config import PEFT_MODES, ConfigError, ModelConfig, PeftConfig
+from gnnpeft.config import (MODE_FIELDS, PEFT_MODES, ConfigError, ModelConfig,
+                            PeftConfig)
 from gnnpeft.peft import (AdapterModule, ModeError, adapter_forward,
                           apply_peft, lora_merge)
 
@@ -129,6 +130,35 @@ class TestFlagPolicies:
     def test_unknown_mode_rejected_at_config(self):
         with pytest.raises(ConfigError, match="unknown tuning mode"):
             PeftConfig(mode="adapters_everywhere")
+
+
+
+class TestCanonicalConfigs:
+    """A built config holds one spelling of each run."""
+
+    @pytest.mark.parametrize("mode", PEFT_MODES)
+    def test_unread_fields_are_reset(self, mode):
+        given = dict(bottleneck=3, lora_rank=4, scaling_init=0.5, k=2)
+        pc = PeftConfig(mode=mode, **given)
+        for name, value in given.items():
+            want = value if name in MODE_FIELDS[mode] else getattr(PeftConfig(), name)
+            assert getattr(pc, name) == want, name
+        assert pc == PeftConfig(mode=mode, **{k: v for k, v in given.items()
+                                              if k in MODE_FIELDS[mode]})
+
+    @pytest.mark.parametrize("kw", [dict(bottleneck=-1), dict(lora_rank=0), dict(k=0),
+                                    dict(scaling_init=float("nan"))])
+    def test_unread_fields_are_still_validated(self, kw):
+        with pytest.raises(ConfigError):
+            PeftConfig(mode="full", **kw)
+
+    def test_default_mlp_width_is_stored_as_none(self):
+        assert small_cfg(mlp_hidden=16) == small_cfg()
+        assert small_cfg(mlp_hidden=16).mlp_hidden is None
+        assert small_cfg(mlp_hidden=12).mlp_hidden == 12
+        assert small_cfg(mlp_hidden=12).hidden == 12
+        with pytest.raises(ConfigError, match="mlp_hidden"):
+            small_cfg(mlp_hidden=0)
 
 
 class TestParamArithmetic:
